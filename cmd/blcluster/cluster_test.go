@@ -131,7 +131,7 @@ func startNode(t *testing.T, bin, dataDir, peers string, id int, clientAddr stri
 	t.Helper()
 	cmd := exec.Command(bin,
 		"-listen", clientAddr,
-		"-shards", "2", "-shard-cap", "128", "-seed", "3", "-quiet",
+		"-shards", "2", "-shard-cap", "128", "-quiet",
 		"-data-dir", filepath.Join(dataDir, fmt.Sprintf("node-%d", id)),
 		"-fsync", "group", "-snapshot-every", "16",
 		"-replicate", "-node-id", fmt.Sprint(id), "-peers", peers,
@@ -420,7 +420,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	cmd := exec.Command(blcluster,
 		"-blnamed", blnamed, "-n", "3", "-base-port", fmt.Sprint(base),
 		"-data-dir", filepath.Join(scratch, "chaos"),
-		"-shards", "2", "-shard-cap", "128", "-seed", "7",
+		"-shards", "2", "-shard-cap", "128",
 		"-election-timeout", "200ms",
 		"-chaos", "partition-leader", "-chaos-duration", "6s", "-chaos-seed", "5")
 	var out bytes.Buffer
@@ -524,7 +524,7 @@ func TestLauncherEndToEnd(t *testing.T) {
 	cmd := exec.Command(blcluster,
 		"-blnamed", blnamed, "-n", "3", "-base-port", fmt.Sprint(base),
 		"-data-dir", filepath.Join(scratch, "cluster"),
-		"-shards", "2", "-shard-cap", "64", "-seed", "7",
+		"-shards", "2", "-shard-cap", "64",
 		"-election-timeout", "200ms",
 		"-kill-leader-after", "2s", "-run-for", "8s")
 	var out bytes.Buffer

@@ -77,7 +77,6 @@ type config struct {
 	blnamed         string
 	shards          int
 	shardCap        int
-	seed            uint64
 	fsync           string
 	snapshotEvery   int
 	electionTimeout time.Duration
@@ -107,7 +106,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&cfg.blnamed, "blnamed", "blnamed", "path to the blnamed binary")
 	fs.IntVar(&cfg.shards, "shards", 2, "namespace shards per daemon")
 	fs.IntVar(&cfg.shardCap, "shard-cap", 1024, "names per shard")
-	fs.Uint64Var(&cfg.seed, "seed", 0, "seed driving every epoch's renaming randomness")
 	fs.StringVar(&cfg.fsync, "fsync", "group", "WAL flush policy passed to every daemon")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096,
 		"checkpoint a shard after this many WAL records")
@@ -370,7 +368,6 @@ func spawn(cfg *config, i int, peers string) (*member, error) {
 		"-listen", cfg.clientAddr(i),
 		"-shards", fmt.Sprint(cfg.shards),
 		"-shard-cap", fmt.Sprint(cfg.shardCap),
-		"-seed", fmt.Sprint(cfg.seed),
 		"-quiet",
 		"-data-dir", dir,
 		"-fsync", cfg.fsync,

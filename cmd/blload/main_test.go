@@ -59,7 +59,7 @@ func TestParseFlagsValidation(t *testing.T) {
 // startDaemon brings up an in-process namesvc server for load runs.
 func startDaemon(t *testing.T) string {
 	t.Helper()
-	svc, err := namesvc.New(namesvc.Config{Shards: 2, ShardCap: 256, Seed: 3})
+	svc, err := namesvc.New(namesvc.Config{Shards: 2, ShardCap: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

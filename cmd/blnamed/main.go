@@ -1,21 +1,15 @@
 // Command blnamed is the long-lived name-allocation daemon: it serves
 // acquire/release traffic over TCP, batching arriving acquires into epochs
-// and running one Balls-into-Leaves renaming instance per epoch against the
-// free slice of a sharded namespace (see internal/namesvc).
+// and granting each epoch's batch, in arrival order, the smallest free names
+// of a sharded namespace (see internal/namesvc).
 //
 // Start a daemon serving 4 independent shards of 4096 names each:
 //
-//	blnamed -listen 127.0.0.1:4720 -shards 4 -shard-cap 4096 -seed 7
+//	blnamed -listen 127.0.0.1:4720 -shards 4 -shard-cap 4096
 //
 // Drive it with the load generator:
 //
 //	blload -connect 127.0.0.1:4720 -conns 4 -outstanding 64 -duration 5s
-//
-// The -runner flag selects the epoch engine: "cohort" (default) runs the
-// fast in-process whole-system simulator; "transport" runs each epoch as a
-// true distributed execution of the public Protocol over an in-process
-// loopback transport — orders of magnitude slower, useful to validate that
-// both engines produce identical ledgers for identical traffic.
 //
 // -epoch sets a batching window so trickling arrivals coalesce into larger
 // epochs; the window is adaptive and ends early the moment the batch can
@@ -81,10 +75,8 @@ type config struct {
 	listen         string
 	shards         int
 	shardCap       int
-	seed           uint64
 	maxBatch       int
 	epoch          time.Duration
-	runner         namesvc.Runner
 	timeout        time.Duration
 	maxOutstanding int
 	maxConnQueue   int
@@ -110,15 +102,12 @@ func parseFlags(args []string) (*config, error) {
 	fs := flag.NewFlagSet("blnamed", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	cfg := &config{}
-	var runner string
 	fs.StringVar(&cfg.listen, "listen", "", "address to listen on (required)")
 	fs.IntVar(&cfg.shards, "shards", 1, "independent namespace shards")
 	fs.IntVar(&cfg.shardCap, "shard-cap", 1024, "names per shard")
-	fs.Uint64Var(&cfg.seed, "seed", 0, "seed driving every epoch's renaming randomness")
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0, "max acquires assigned per epoch (0 = shard capacity)")
 	fs.DurationVar(&cfg.epoch, "epoch", 0,
 		"batching window before closing an epoch, ended early once the batch cannot grow (0 = group commit)")
-	fs.StringVar(&runner, "runner", "cohort", "epoch engine: cohort | transport")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-operation network timeout")
 	fs.IntVar(&cfg.maxOutstanding, "max-outstanding", 0,
 		"per-connection in-flight acquire cap; beyond it acquires are rejected busy (0 = server default)")
@@ -153,14 +142,6 @@ func parseFlags(args []string) (*config, error) {
 		// The FlagSet has already reported the problem (or printed the
 		// -h usage) to stderr; mark it so main does not repeat it.
 		return nil, errors.Join(errFlagsReported, err)
-	}
-	switch runner {
-	case "cohort":
-		cfg.runner = namesvc.CohortRunner{}
-	case "transport":
-		cfg.runner = namesvc.TransportRunner{}
-	default:
-		return nil, fmt.Errorf("blnamed: unknown runner %q (want cohort or transport)", runner)
 	}
 	switch {
 	case cfg.listen == "":
@@ -247,8 +228,6 @@ func build(cfg *config) (*namesvc.Server, *namesvc.Service, *repl.Node, error) {
 	svcCfg := namesvc.Config{
 		Shards:       cfg.shards,
 		ShardCap:     cfg.shardCap,
-		Seed:         cfg.seed,
-		Runner:       cfg.runner,
 		MaxBatch:     cfg.maxBatch,
 		Journal:      cfg.journal,
 		JournalLimit: cfg.journalLimit,
@@ -360,8 +339,8 @@ func main() {
 	if node != nil {
 		durability += fmt.Sprintf(", replicating as node %d of %d", cfg.nodeID, len(cfg.peers))
 	}
-	fmt.Printf("blnamed: serving %d shard(s) x %d names on %s (runner %s, seed %d, %s)\n",
-		cfg.shards, cfg.shardCap, ln.Addr(), cfg.runner.Name(), cfg.seed, durability)
+	fmt.Printf("blnamed: serving %d shard(s) x %d names on %s (%s)\n",
+		cfg.shards, cfg.shardCap, ln.Addr(), durability)
 
 	// SIGINT/SIGTERM drain: stop accepting, tear down connections, write
 	// the final checkpoint, exit 0.

@@ -56,7 +56,7 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 			cmd.Wait()
 		}
 	})
-	// Banner: "blnamed: serving N shard(s) x M names on ADDR (runner ...)".
+	// Banner: "blnamed: serving N shard(s) x M names on ADDR (...)".
 	sc := bufio.NewScanner(stdout)
 	addr := make(chan string, 1)
 	go func() {
@@ -105,7 +105,7 @@ func TestKillNineRecovery(t *testing.T) {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	durableArgs := []string{"-shards", "2", "-shard-cap", "64", "-seed", "3",
+	durableArgs := []string{"-shards", "2", "-shard-cap", "64",
 		"-quiet", "-data-dir", dataDir, "-fsync", "epoch", "-snapshot-every", "8"}
 
 	// Generation 1: grant names, release a few, then die without warning.

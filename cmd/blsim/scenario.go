@@ -101,7 +101,6 @@ func diffAgainstRealServer(scn simsvc.Scenario, res *simsvc.Result) error {
 		Shards:   scn.Shards,
 		ShardCap: scn.ShardCap,
 		MaxBatch: scn.MaxBatch,
-		Seed:     res.Seed,
 		Journal:  true,
 	})
 	if err != nil {

@@ -1,7 +1,7 @@
 // Example namesvc: the long-lived name-allocation service in-process —
-// epoch-batched acquires over the renaming machinery, a sharded namespace
-// ledger with release and reuse, and the determinism guarantee (replaying
-// the same trace reproduces the same ledger digest).
+// epoch-batched acquires, a sharded namespace ledger with release and
+// reuse, and the determinism guarantee (replaying the same trace
+// reproduces the same ledger digest).
 //
 // Run with: go run ./examples/namesvc
 package main
@@ -14,10 +14,10 @@ import (
 )
 
 func main() {
-	// Two independent shards of 8 names each; every epoch's assignment is
-	// one Balls-into-Leaves renaming instance over the shard's batch.
+	// Two independent shards of 8 names each; every epoch gives its batch,
+	// in arrival order, the smallest free names of the shard.
 	run := func() (*namesvc.Service, uint64) {
-		svc, err := namesvc.New(namesvc.Config{Shards: 2, ShardCap: 8, Seed: 42, Journal: true})
+		svc, err := namesvc.New(namesvc.Config{Shards: 2, ShardCap: 8, Journal: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func main() {
 		}
 	}
 
-	// Determinism: an identical (seed, trace, shards) replay reproduces the
+	// Determinism: an identical (trace, shards) replay reproduces the
 	// assignment ledger bit for bit.
 	_, again := run()
 	fmt.Printf("ledger digest %016x, replay %016x, identical: %v\n", digest, again, digest == again)

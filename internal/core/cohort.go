@@ -170,85 +170,17 @@ func NewCohort(cfg Config, labels []proto.ID) (*Cohort, error) {
 	return c, nil
 }
 
-// Reset re-arms the cohort for a fresh run over a new label set of the same
-// size, reusing every buffer, view, and the shared topology — the
-// allocation-free path long-lived callers (the name service's epoch loop)
-// drive once per epoch. The labels must be distinct and exactly cfg.N; the
-// seed replaces cfg.Seed for the next run. On error the cohort state is
-// unspecified and must be Reset again before use.
-func (c *Cohort) Reset(seed uint64, labels []proto.ID) error {
-	if len(labels) != c.cfg.N {
-		return fmt.Errorf("core: Reset with %d labels for N=%d", len(labels), c.cfg.N)
-	}
-	// c.labels is the label table shared with the views; rewrite in place.
-	copy(c.labels, labels)
-	slices.Sort(c.labels)
-	for i := 1; i < len(c.labels); i++ {
-		if c.labels[i] == c.labels[i-1] {
-			return fmt.Errorf("core: duplicate label %v", c.labels[i])
-		}
-	}
-	c.cfg.Seed = seed
-	for i, id := range c.labels {
-		c.srcs[i].Reseed(rng.DeriveSeed(seed, uint64(id)))
-		c.inCanon[i] = true
-		c.active[i] = true
-		c.haltPhase[i] = 0
-		c.decided[i] = false
-		c.decidedName[i] = 0
-		c.decidedRound[i] = 0
-	}
-	c.canon.ResetAllAtRoot()
-	c.crashed = c.crashed[:0]
-	c.residue = c.residue[:0]
-	c.round, c.phase = 0, 0
-	c.msgs, c.bytes = 0, 0
-	c.budget = c.cfg.Budget
-	if c.metrics != nil {
-		*c.metrics = Metrics{}
-	}
-	c.rview.aliveValid = false
-	return nil
-}
-
 // Run executes the full protocol and returns the result. It errors if the
 // system fails to quiesce within MaxRounds.
 func (c *Cohort) Run() (Result, error) {
-	if err := c.RunToQuiescence(); err != nil {
-		return c.result(), err
-	}
-	return c.result(), nil
-}
-
-// RunToQuiescence executes the full protocol without assembling a Result:
-// callers read decisions through IndexOf/DecisionOf instead. Unlike Run, a
-// completed failure-free run allocates nothing, which the name service's
-// epoch path depends on (TestEpochZeroAllocs). It errors if the system
-// fails to quiesce within MaxRounds.
-func (c *Cohort) RunToQuiescence() error {
 	c.initRound()
 	for c.anyActive() {
 		if c.round+2 > c.cfg.MaxRounds {
-			return fmt.Errorf("core: exceeded %d rounds without quiescing", c.cfg.MaxRounds)
+			return c.result(), fmt.Errorf("core: exceeded %d rounds without quiescing", c.cfg.MaxRounds)
 		}
 		c.runPhase()
 	}
-	return nil
-}
-
-// IndexOf resolves a label to its dense index (position in the ascending
-// label table).
-func (c *Cohort) IndexOf(id proto.ID) (int, bool) { return c.indexOf(id) }
-
-// DecisionOf returns the decided name and decision round of the ball at
-// dense index idx, or ok=false if it has not decided (it crashed, or the
-// run has not finished). Crashed-after-deciding balls still report their
-// decision; Result-level filtering is the caller's concern.
-func (c *Cohort) DecisionOf(idx int) (name, round int, ok bool) {
-	if idx < 0 || idx >= len(c.decided) || !c.decided[idx] {
-		return 0, 0, false
-	}
-	return c.decidedName[idx], c.decidedRound[idx], true
+	return c.result(), nil
 }
 
 func (c *Cohort) anyActive() bool {

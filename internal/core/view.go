@@ -25,9 +25,9 @@ type View struct {
 
 	// Scratch reused by orderedPresent; lazily allocated, never copied by
 	// Clone/CopyFrom (it carries no view state).
-	orderBuf  []int32
-	depthCnt  []int32
-	depthOff  []int32
+	orderBuf []int32
+	depthCnt []int32
+	depthOff []int32
 }
 
 // NewView builds a view with all the given balls at the root, the initial
@@ -49,22 +49,6 @@ func NewView(topo *tree.Topology, labels []proto.ID) *View {
 		v.occ.Add(root)
 	}
 	return v
-}
-
-// ResetAllAtRoot returns the view to the initial configuration of
-// Algorithm 1 — every ball present and parked at the root — without
-// allocating, so a view (and the Cohort owning it) can be reused across
-// runs. The label table is shared and mutable by the owner (Cohort.Reset
-// rewrites it in place); the view itself only indexes it.
-func (v *View) ResetAllAtRoot() {
-	v.occ.Reset()
-	root := v.topo.Root()
-	for i := range v.node {
-		v.node[i] = root
-		v.present[i] = true
-		v.occ.Add(root)
-	}
-	v.count = len(v.labels)
 }
 
 // Clone returns an independent deep copy.

@@ -9,15 +9,15 @@ import (
 
 // TestEpochZeroAllocs guards the service's allocation-free steady state, in
 // the spirit of core's TestCohortPhaseZeroAllocs: once the per-shard
-// scratch, the request pool, and the cohort cache are warm, a full churn
-// cycle — queue a batch of acquires, close the epoch (which runs a whole
-// renaming instance), release every grant — must not touch the heap.
+// scratch and the request pool are warm, a full churn cycle — queue a
+// batch of acquires, close the epoch, release every grant — must not
+// touch the heap.
 func TestEpochZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	const batch = 128
-	svc, err := New(Config{ShardCap: 1 << 12, Seed: 9, MaxBatch: batch})
+	svc, err := New(Config{ShardCap: 1 << 12, MaxBatch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,8 @@ func TestEpochZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Warm the pools: request structs, pending/index capacity, epoch
-	// scratch, and the cohort cached for this batch size.
+	// Warm the pools: request structs, pending/index capacity, and epoch
+	// scratch.
 	cycle()
 	cycle()
 	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
@@ -165,14 +165,14 @@ func TestClientSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEpochZeroAllocsVariedBatch exercises the cohort cache across batch
-// sizes: alternating between two warmed sizes must stay allocation-free,
-// since each size keeps its own reusable cohort.
+// TestEpochZeroAllocsVariedBatch alternates between two warmed batch
+// sizes: the epoch scratch, grown for the larger one, must serve both
+// without touching the heap.
 func TestEpochZeroAllocsVariedBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
-	svc, err := New(Config{ShardCap: 1 << 10, Seed: 3})
+	svc, err := New(Config{ShardCap: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

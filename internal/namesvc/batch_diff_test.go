@@ -30,7 +30,7 @@ func TestBatchedSubmissionMatchesPerOp(t *testing.T) {
 	const shards = 3
 	for seed := int64(1); seed <= 6; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		cfg := Config{Shards: shards, ShardCap: 16, Seed: uint64(seed), Journal: true, MaxBatch: 8}
+		cfg := Config{Shards: shards, ShardCap: 16, Journal: true, MaxBatch: 8}
 		perOp, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +216,7 @@ func TestBatchedSubmissionMatchesPerOp(t *testing.T) {
 // and release outcomes are per-op.
 func TestAcquireBatchValidation(t *testing.T) {
 	t.Parallel()
-	svc, err := New(Config{Shards: 2, ShardCap: 4, Seed: 1})
+	svc, err := New(Config{Shards: 2, ShardCap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // long-lived allocator spends its life. One benchmark op is one full
 // acquire→grant→release cycle of a single name.
 func benchChurn(b *testing.B, shards, shardCap, batch int) {
-	svc, err := New(Config{Shards: shards, ShardCap: shardCap, Seed: 1, MaxBatch: batch})
+	svc, err := New(Config{Shards: shards, ShardCap: shardCap, MaxBatch: batch})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func BenchmarkLedgerScatteredRelease(b *testing.B) {
 // (the strict client-side zero is pinned by
 // TestClientSteadyStateZeroAllocs).
 func BenchmarkServerPipeline(b *testing.B) {
-	svc, err := New(Config{Shards: 1, ShardCap: 1 << 14, Seed: 1})
+	svc, err := New(Config{Shards: 1, ShardCap: 1 << 14})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func buildWAL(b *testing.B, records int) *durable.MemSink {
 	b.Helper()
 	sink := durable.NewMemSink()
 	svc, err := Open(Config{
-		Shards: 1, ShardCap: 512, Seed: 7, MaxBatch: 8,
+		Shards: 1, ShardCap: 512, MaxBatch: 8,
 		Durable: &Durability{
 			Sinks:         []durable.Sink{sink},
 			Fsync:         FsyncOff,
@@ -65,7 +65,7 @@ func BenchmarkDurableRecovery(b *testing.B) {
 				sink := image.Clone()
 				b.StartTimer()
 				svc, err := Open(Config{
-					Shards: 1, ShardCap: 512, Seed: 7, MaxBatch: 8,
+					Shards: 1, ShardCap: 512, MaxBatch: 8,
 					Durable: &Durability{
 						Sinks:         []durable.Sink{sink},
 						Fsync:         FsyncOff,

@@ -43,7 +43,7 @@ func cornerWorkload(t *testing.T, svc *Service) []Grant {
 // snapshot alone — zero WAL records to replay.
 func TestIntervalFsyncCloseOrdering(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Shards: 2, ShardCap: 16, Seed: 11, Journal: true, JournalLimit: 8}
+	cfg := Config{Shards: 2, ShardCap: 16, Journal: true, JournalLimit: 8}
 	raw := make([]*durable.MemSink, cfg.Shards)
 	sinks := make([]durable.Sink, cfg.Shards)
 	for i := range raw {
@@ -132,7 +132,7 @@ func startServerOn(t *testing.T, svc *Service) string {
 func TestReclaimThenConnectionDies(t *testing.T) {
 	t.Parallel()
 	const owner = 77
-	svc, err := New(Config{Shards: 1, ShardCap: 8, Seed: 3})
+	svc, err := New(Config{Shards: 1, ShardCap: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestReclaimThenConnectionDies(t *testing.T) {
 // pre-allocated successors). Empty segments are a no-op, not a tear.
 func TestRecoverySnapshotWithEmptyTailSegments(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Shards: 1, ShardCap: 16, Seed: 9, Journal: true, JournalLimit: 8}
+	cfg := Config{Shards: 1, ShardCap: 16, Journal: true, JournalLimit: 8}
 	sink := durable.NewMemSink()
 	cfg.Durable = &Durability{
 		Sinks: []durable.Sink{sink}, Fsync: FsyncPerEpoch,

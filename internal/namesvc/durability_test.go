@@ -14,7 +14,7 @@ import (
 // window-compaction path is exercised, and a tiny snapshot cadence so
 // crash points land inside checkpoint rotations, not just between appends.
 var crashTraceConfig = Config{
-	Shards: 2, ShardCap: 64, Seed: 7, MaxBatch: 8,
+	Shards: 2, ShardCap: 64, MaxBatch: 8,
 	Journal: true, JournalLimit: 16,
 }
 
@@ -361,7 +361,7 @@ func TestOpenRejectsSinkMismatches(t *testing.T) {
 
 	// Write shard 1's data, then mount it under shard 0.
 	sinks := []*durable.MemSink{durable.NewMemSink(), durable.NewMemSink()}
-	cfg2 := Config{Shards: 2, ShardCap: 8, Seed: 3}
+	cfg2 := Config{Shards: 2, ShardCap: 8}
 	cfg2.Durable = &Durability{Sinks: []durable.Sink{sinks[0], sinks[1]}}
 	svc, err := Open(cfg2)
 	if err != nil {
@@ -376,7 +376,7 @@ func TestOpenRejectsSinkMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Close()
-	cfg3 := Config{Shards: 2, ShardCap: 8, Seed: 3}
+	cfg3 := Config{Shards: 2, ShardCap: 8}
 	cfg3.Durable = &Durability{Sinks: []durable.Sink{sinks[1], sinks[0]}}
 	if _, err := Open(cfg3); err == nil {
 		t.Fatal("cross-wired shard sinks accepted")

@@ -1,6 +1,8 @@
 package namesvc
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -94,5 +96,62 @@ func TestLedgerDigestTracksHistory(t *testing.T) {
 	d.assign(1, 10, 7, 1)
 	if c.digest == d.digest {
 		t.Fatal("different histories collided")
+	}
+}
+
+// TestLedgerPermutedBatchReplay keeps non-identity assignment orders under
+// replay test. The service always gives batch position i the i-th smallest
+// free name; here one batch instead takes the free names through an
+// explicit permutation, over a free pool fragmented by earlier releases.
+// Two replays of the permuted batch must agree entry for entry and digest
+// for digest, and both must differ from the identity assignment of the
+// same batch — the same names handed to different holders — so the digest
+// and the journal really do see the assignment order.
+func TestLedgerPermutedBatchReplay(t *testing.T) {
+	t.Parallel()
+	// run builds a 64-name ledger, grants names 1..40 in epoch 1 and
+	// releases every third, then assigns a batch of len(perm) requests in
+	// epoch 2: position i takes the perm[i]-th smallest free name.
+	run := func(perm []int) *ledger {
+		l := newLedger(64, true, 0)
+		for name := 1; name <= 40; name++ {
+			l.assign(1, uint64(name), uint64(1000+name), name)
+		}
+		l.epoch = 1
+		for name := 1; name <= 40; name += 3 {
+			if err := l.release(1, uint64(1000+name), name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		free := l.peekFree(len(perm))
+		l.epoch = 2
+		for i, p := range perm {
+			l.assign(2, uint64(100+i), uint64(2000+i), free[p])
+		}
+		return l
+	}
+	const n = 20
+	identity := make([]int, n)
+	perm := make([]int, n)
+	for i := range perm {
+		identity[i] = i
+		perm[i] = (7*i + 3) % n // a permutation with no fixed point
+	}
+	a, b, id := run(perm), run(perm), run(identity)
+	if a.digest != b.digest || !reflect.DeepEqual(a.journalWindow(), b.journalWindow()) {
+		t.Fatalf("two replays of the permuted batch diverged: digests %x vs %x", a.digest, b.digest)
+	}
+	if a.digest == id.digest {
+		t.Fatal("permuted and identity assignments share a digest")
+	}
+	if reflect.DeepEqual(a.journalWindow(), id.journalWindow()) {
+		t.Fatal("permuted and identity assignments share a journal")
+	}
+	// Same names left the pool; only their holders differ.
+	if !reflect.DeepEqual(a.words, id.words) || a.freeCount() != id.freeCount() {
+		t.Fatal("permuted batch drew different names than the identity batch")
+	}
+	if slices.Equal(a.holder, id.holder) {
+		t.Fatal("permuted batch gave every name the same holder as the identity batch")
 	}
 }

@@ -1,20 +1,29 @@
 // Package namesvc is the long-lived name-allocation service layer: it turns
-// the repository's one-shot renaming machinery into a system that serves
+// the repository's one-shot renaming problem into a system that serves
 // continuous acquire/release traffic.
 //
 // One-shot renaming (the paper's problem) assigns each of n processes a
-// unique name in 1..n once. A long-lived service instead sees clients arrive
-// over time, hold a name for a while, and release it for reuse — the regime
-// of the long-lived/adaptive renaming literature. namesvc bridges the two by
-// *epoch batching*:
+// unique name in 1..n once, with no process able to act as a coordinator
+// and crashes possible mid-run. A long-lived service instead sees clients
+// arrive over time, hold a name for a while, and release it for reuse — the
+// regime of the long-lived/adaptive renaming literature. namesvc serves it
+// by *epoch batching*:
 //
 //   - Arriving acquire requests queue per shard.
-//   - Closing an epoch snapshots the batch, runs one renaming instance over
-//     it (the fast in-process core.Cohort, or the public Protocol over
-//     internal/transport for distributed mode), and maps the decided ranks
-//     onto the k smallest free names of the shard's namespace.
+//   - Closing an epoch snapshots the batch — a FIFO prefix of the queue —
+//     and gives batch position i the i-th smallest free name of the
+//     shard's namespace.
 //   - Releases return names to the free pool immediately; a released name
 //     can be re-granted by any later epoch, and never before.
+//
+// Each shard has a sequencer (its lock, its monotone request-ID counter and
+// its FIFO queue), which is exactly what the paper's setting lacks: with
+// one, tight order-preserving renaming of a batch is the identity on queue
+// positions. The paper's algorithm (the root package, internal/core) is
+// what solves the problem where no such sequencer exists; the service does
+// not run it. A test oracle pins that the two agree on every epoch: a
+// failure-free core.Cohort over the batch's request IDs decides exactly
+// the service's assignment order.
 //
 // The namespace is partitioned into Shards independent ledgers of ShardCap
 // names each, with a deterministic client → shard router, so epochs on
@@ -27,8 +36,8 @@
 //
 // Every grant and release is folded into a per-shard rolling digest (and an
 // optional full journal), making executions auditable and replayable: a
-// fixed (seed, arrival trace, shards) reproduces an identical assignment
-// ledger on any instance, which the determinism tests pin.
+// fixed (arrival trace, shards) reproduces an identical assignment ledger
+// on any instance, which the determinism tests pin.
 //
 // The Service is the deterministic core; Server/Client (server.go,
 // client.go) put it on real sockets behind cmd/blnamed, and cmd/blload
@@ -40,11 +49,10 @@ import (
 	"runtime"
 	"sync"
 
-	"ballsintoleaves/internal/proto"
 	"ballsintoleaves/internal/rng"
 )
 
-// shardSalt decorrelates the shard router from every other use of the seed.
+// shardSalt keys the shard router's client hash.
 const shardSalt = 0x5a4d5e5fca11ab1e
 
 // Config parameterizes a Service.
@@ -54,12 +62,13 @@ type Config struct {
 	// ShardCap is the number of names per shard; required. The service's
 	// namespace is 1..Shards*ShardCap.
 	ShardCap int
-	// Seed drives every epoch's renaming randomness. Executions are pure
-	// functions of (Seed, arrival trace, Shards, ShardCap, Runner).
+	// Seed is ignored.
+	//
+	// Deprecated: epochs assign names in queue order, so no randomness
+	// enters an execution; it is a pure function of (arrival trace,
+	// Shards, ShardCap, MaxBatch). The field remains so existing callers
+	// keep compiling.
 	Seed uint64
-	// Runner executes one renaming instance per epoch; nil means
-	// CohortRunner{} (in-process fast path).
-	Runner Runner
 	// MaxBatch caps the number of requests assigned per epoch; zero means
 	// ShardCap. Batches are additionally capped by the shard's free names.
 	MaxBatch int
@@ -89,9 +98,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxBatch <= 0 || c.MaxBatch > c.ShardCap {
 		c.MaxBatch = c.ShardCap
-	}
-	if c.Runner == nil {
-		c.Runner = CohortRunner{}
 	}
 	return c
 }
@@ -162,15 +168,14 @@ type request struct {
 }
 
 // shard is one independent namespace with its pending queue. mu serializes
-// everything, including the epoch's renaming run, so an epoch observes (and
-// commits) a consistent free list.
+// everything, including the epoch, so an epoch observes (and commits) a
+// consistent free list. The lock, the request-ID counter and the FIFO
+// queue together make the shard its own sequencer.
 //
-// Everything below the seed is reusable steady-state scratch: the per-shard
-// runner instance (forked so shards never share mutable runner state), the
-// epoch's label/rank/grant buffers, the permutation-check bitmap, and a
-// free list of request structs recycled from grant to acquire. Together
-// with the ledger's bitmap free pool they make a failure-free CloseEpoch
-// allocation-free (TestEpochZeroAllocs).
+// grants and freeReq are reusable steady-state scratch: the epoch's grant
+// buffer and a free list of request structs recycled from grant to
+// acquire. Together with the ledger's bitmap free pool they make a
+// failure-free CloseEpoch allocation-free (TestEpochZeroAllocs).
 type shard struct {
 	mu      sync.Mutex
 	led     *ledger
@@ -178,14 +183,9 @@ type shard struct {
 	index   map[uint64]*request // reqID -> queued request
 	queued  int                 // uncancelled entries in pending
 	nextID  uint64              // per-shard request ID counter
-	seed    uint64              // per-shard seed root for epoch derivation
-	runner  Runner              // this shard's private epoch engine
 
-	labels   []proto.ID // epoch scratch: batch labels
-	ranks    []int      // epoch scratch: runner output
-	grants   []Grant    // epoch scratch: accepted grants, reused per epoch
-	permSeen []bool     // epoch scratch: checkPermutation bitmap
-	freeReq  []*request // recycled request structs
+	grants  []Grant    // epoch scratch: accepted grants, reused per epoch
+	freeReq []*request // recycled request structs
 
 	acquires uint64
 	absorbed uint64
@@ -253,10 +253,8 @@ func Open(cfg Config) (*Service, error) {
 	s := &Service{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	for i := range s.shards {
 		s.shards[i] = &shard{
-			led:    newLedger(cfg.ShardCap, cfg.Journal, cfg.JournalLimit),
-			index:  make(map[uint64]*request),
-			seed:   rng.DeriveSeed(cfg.Seed, shardSalt+uint64(i)),
-			runner: forkRunner(cfg.Runner),
+			led:   newLedger(cfg.ShardCap, cfg.Journal, cfg.JournalLimit),
+			index: make(map[uint64]*request),
 		}
 		if dcfg != nil {
 			if err := s.recoverShard(i, s.shards[i], dcfg); err != nil {
@@ -540,26 +538,26 @@ func (s *Service) BatchFull(shardIdx int) bool {
 	return sh.queued > 0 && free > 0 && (sh.queued >= s.cfg.MaxBatch || sh.queued >= free)
 }
 
-// CloseEpoch runs one renaming epoch on the given shard: it batches up to
-// MaxBatch queued requests (bounded by the free names), runs the shard's
-// Runner over the batch with a seed derived from (Seed, shard, epoch), and
-// assigns each request the rank-th smallest free name. It returns the grants
-// that were accepted (see Acquire's notify contract); grants whose recipient
-// vanished are absorbed as crashes. With nothing to do — no queued requests,
-// or no free names — it returns nil without advancing the epoch.
+// CloseEpoch runs one epoch on the given shard: it batches up to MaxBatch
+// queued requests (bounded by the free names) and gives batch position i
+// the i-th smallest free name. Batch order is request-ID order, so this is
+// the tight order-preserving renaming of the batch — the assignment the
+// paper's failure-free rank rule decides for the same request IDs, which
+// TestServiceMatchesRenamingOracle pins. It returns the grants that were
+// accepted (see Acquire's notify contract); grants whose recipient
+// vanished are absorbed as crashes. With nothing to do — no queued
+// requests, or no free names — it returns nil without advancing the epoch.
 //
 // The returned slice is the shard's reusable grant buffer: it is valid
 // until the next CloseEpoch on the same shard, and callers that retain
 // grants across epochs must copy them (CloseEpochs does). Server-style
 // callers consume grants through notify and only look at the length.
 //
-// The shard lock is held for the whole epoch, including the renaming run:
-// concurrent Acquire/Release on the same shard wait, which is exactly the
-// group-commit batching that lets the next epoch absorb them in one run.
-// A failure-free epoch performs no heap allocations: labels, ranks, the
-// free-name snapshot, the permutation check, and the grants all live in
-// per-shard reusable scratch, and the cohort runner resets a cached
-// instance instead of building one (TestEpochZeroAllocs).
+// The shard lock is held for the whole epoch: concurrent Acquire/Release
+// on the same shard wait, which is exactly the group-commit batching that
+// lets the next epoch absorb them at once. A failure-free epoch performs
+// no heap allocations: the free-name snapshot and the grants live in
+// per-shard reusable scratch (TestEpochZeroAllocs).
 func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		return nil, fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)
@@ -587,34 +585,15 @@ func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 	}
 	batch := sh.pending[:limit]
 
-	if cap(sh.labels) < limit {
-		sh.labels = make([]proto.ID, 0, max(limit, 64))
-		sh.ranks = make([]int, max(limit, 64))
-		sh.permSeen = make([]bool, max(limit, 64))
-	}
-	labels := sh.labels[:limit]
-	ranks := sh.ranks[:limit]
-	for i, r := range batch {
-		labels[i] = proto.ID(r.id)
-	}
-	epoch := sh.led.epoch + 1
-	seed := rng.DeriveSeed(sh.seed, epoch)
-	if err := sh.runner.Assign(seed, labels, ranks); err != nil {
-		// The batch stays queued; a later epoch retries it.
-		return nil, fmt.Errorf("namesvc: shard %d epoch %d: %w", shardIdx, epoch, err)
-	}
-	if err := checkPermutation(ranks, limit, sh.permSeen); err != nil {
-		return nil, fmt.Errorf("namesvc: shard %d epoch %d: runner %s: %w", shardIdx, epoch, sh.runner.Name(), err)
-	}
-
-	// Commit: rank r takes the r-th smallest free name. The snapshot is the
-	// ledger's peek scratch — plain values, stable across the assigns below
-	// (the bitmap mutates, the snapshot does not alias it).
+	// Commit: position i takes the i-th smallest free name. The snapshot is
+	// the ledger's peek scratch — plain values, stable across the assigns
+	// below (the bitmap mutates, the snapshot does not alias it).
 	freeSnap := sh.led.peekFree(limit)
-	sh.led.epoch = epoch
+	sh.led.epoch++
+	epoch := sh.led.epoch
 	grants := sh.grants[:0]
 	for i, req := range batch {
-		local := freeSnap[ranks[i]-1]
+		local := freeSnap[i]
 		sh.led.assign(epoch, req.id, req.client, local)
 		delete(sh.index, req.id)
 		g := Grant{
@@ -706,29 +685,6 @@ func (s *Service) CloseEpochs() ([]Grant, error) {
 		}
 	}
 	return all, firstErr
-}
-
-// checkPermutation verifies a runner returned each rank 1..n exactly once.
-// seen is caller-provided scratch of at least n entries; it is reset before
-// use, so callers need not clear it.
-func checkPermutation(ranks []int, n int, seen []bool) error {
-	if len(ranks) != n {
-		return fmt.Errorf("assigned %d ranks for a batch of %d", len(ranks), n)
-	}
-	seen = seen[:n]
-	for i := range seen {
-		seen[i] = false
-	}
-	for _, r := range ranks {
-		if r < 1 || r > n {
-			return fmt.Errorf("rank %d outside 1..%d", r, n)
-		}
-		if seen[r-1] {
-			return fmt.Errorf("rank %d assigned twice", r)
-		}
-		seen[r-1] = true
-	}
-	return nil
 }
 
 // Stats is a point-in-time summary across all shards.

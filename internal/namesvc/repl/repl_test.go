@@ -16,7 +16,6 @@ import (
 const (
 	testShards   = 2
 	testShardCap = 64
-	testSeed     = 42
 )
 
 // testLogf wraps t.Logf so background goroutines that outlive the test
@@ -50,7 +49,6 @@ func openReplica(t *testing.T, sinks []durable.Sink) *namesvc.Service {
 	svc, err := namesvc.Open(namesvc.Config{
 		Shards:       testShards,
 		ShardCap:     testShardCap,
-		Seed:         testSeed,
 		Journal:      true,
 		JournalLimit: 1024,
 		Durable: &namesvc.Durability{
@@ -72,7 +70,6 @@ func openReference(t *testing.T) *namesvc.Service {
 	svc, err := namesvc.Open(namesvc.Config{
 		Shards:       testShards,
 		ShardCap:     testShardCap,
-		Seed:         testSeed,
 		Journal:      true,
 		JournalLimit: 1024,
 	})

@@ -102,7 +102,7 @@ type ServerConfig struct {
 	// queue reached MaxBatch, or it covers every free name), so a burst
 	// never waits out a timer it cannot benefit from. Zero is pure group
 	// commit — close immediately, and let the requests that arrive during
-	// one epoch's renaming run form the next batch.
+	// one epoch form the next batch.
 	EpochInterval time.Duration
 	// MaxOutstanding caps one connection's in-flight acquires; beyond it
 	// acquires are rejected with RejectBusy. Zero means 4096.
@@ -359,7 +359,7 @@ func (s *Server) closeManualEpoch(shard int) (epoch uint64, granted int, err err
 // no longer grow (BatchFull) instead of waiting the timer out — under
 // bursts the window costs nothing, while trickles still coalesce. It
 // drains — repeated CloseEpoch calls — because requests that queued during
-// an epoch's renaming run form the next batch without another kick. After
+// an epoch form the next batch without another kick. After
 // every CloseEpoch it delivers the staged grants connection by connection
 // (deliverEpoch), outside the shard lock.
 func (s *Server) shardLoop(shard int) {

@@ -62,7 +62,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // release checked continuously, plus stats and reject behaviour.
 func TestServerEndToEndOverSockets(t *testing.T) {
 	t.Parallel()
-	svc, addr := startServer(t, Config{Shards: 2, ShardCap: 8, Seed: 5})
+	svc, addr := startServer(t, Config{Shards: 2, ShardCap: 8})
 	c, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestServerEndToEndOverSockets(t *testing.T) {
 // remains fully grantable with no duplicates.
 func TestServerDisconnectReleasesAndCancels(t *testing.T) {
 	t.Parallel()
-	svc, addr := startServer(t, Config{Shards: 2, ShardCap: 4, Seed: 11})
+	svc, addr := startServer(t, Config{Shards: 2, ShardCap: 4})
 	c1, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestServerDisconnectReleasesAndCancels(t *testing.T) {
 // error discipline on the service protocol.
 func TestServerMalformedFrameClosesOnlyThatConnection(t *testing.T) {
 	t.Parallel()
-	svc, addr := startServer(t, Config{ShardCap: 4, Seed: 2})
+	svc, addr := startServer(t, Config{ShardCap: 4})
 	good, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestServerMalformedFrameClosesOnlyThatConnection(t *testing.T) {
 // TestServerUnknownOpAndBadHello cover the remaining rejection paths.
 func TestServerUnknownOpAndBadHello(t *testing.T) {
 	t.Parallel()
-	_, addr := startServer(t, Config{ShardCap: 4, Seed: 2})
+	_, addr := startServer(t, Config{ShardCap: 4})
 
 	// Wrong hello version: connection closed without a welcome.
 	raw, err := net.Dial("tcp", addr)
@@ -345,7 +345,7 @@ func TestServerUnknownOpAndBadHello(t *testing.T) {
 // every name the connection held, while other connections are unaffected.
 func TestServerOverflowDisconnectsSlowReader(t *testing.T) {
 	t.Parallel()
-	svc, addr := startServerWith(t, Config{ShardCap: 16, Seed: 3},
+	svc, addr := startServerWith(t, Config{ShardCap: 16},
 		ServerConfig{MaxConnQueue: 16 << 10, IOTimeout: 5 * time.Second})
 
 	good, err := Dial(addr, ClientConfig{})
@@ -417,7 +417,7 @@ func TestServerOverflowDisconnectsSlowReader(t *testing.T) {
 // connections' epochs keep flowing throughout.
 func TestServerBackpressureOnCoalescedGrants(t *testing.T) {
 	t.Parallel()
-	svc, addr := startServerWith(t, Config{ShardCap: 1 << 15, Seed: 9},
+	svc, addr := startServerWith(t, Config{ShardCap: 1 << 15},
 		ServerConfig{MaxConnQueue: 16 << 10, MaxOutstanding: 1 << 16, IOTimeout: 5 * time.Second})
 
 	good, err := Dial(addr, ClientConfig{})
@@ -482,7 +482,7 @@ func TestServerBackpressureOnCoalescedGrants(t *testing.T) {
 // timer out.
 func TestServerAdaptiveEpochClosesEarly(t *testing.T) {
 	t.Parallel()
-	_, addr := startServerWith(t, Config{ShardCap: 8, Seed: 1, MaxBatch: 4},
+	_, addr := startServerWith(t, Config{ShardCap: 8, MaxBatch: 4},
 		ServerConfig{EpochInterval: 30 * time.Second})
 	c, err := Dial(addr, ClientConfig{})
 	if err != nil {
@@ -516,7 +516,7 @@ func TestServerAdaptiveEpochClosesEarly(t *testing.T) {
 // of pinning a reader goroutine until the much larger IOTimeout.
 func TestServerHandshakeDeadlineShedsStalledConns(t *testing.T) {
 	t.Parallel()
-	_, addr := startServerWith(t, Config{ShardCap: 8, Seed: 9},
+	_, addr := startServerWith(t, Config{ShardCap: 8},
 		ServerConfig{HandshakeTimeout: 200 * time.Millisecond, IOTimeout: 30 * time.Second})
 
 	raw, err := net.Dial("tcp", addr)

@@ -24,7 +24,7 @@ func TestServiceConfigValidation(t *testing.T) {
 
 func TestShardRouterDeterministicAndSpread(t *testing.T) {
 	t.Parallel()
-	svc, err := New(Config{Shards: 4, ShardCap: 8, Seed: 1})
+	svc, err := New(Config{Shards: 4, ShardCap: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestShardRouterDeterministicAndSpread(t *testing.T) {
 // a requester that vanishes mid-epoch.
 func TestServiceEndToEndInProcess(t *testing.T) {
 	t.Parallel()
-	svc, err := New(Config{Shards: 2, ShardCap: 8, Seed: 42, Journal: true})
+	svc, err := New(Config{Shards: 2, ShardCap: 8, Journal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestServiceEndToEndInProcess(t *testing.T) {
 // and the journal shows the assign+release pair inside the epoch.
 func TestServiceAbsorbsVanishedRequester(t *testing.T) {
 	t.Parallel()
-	svc, err := New(Config{ShardCap: 4, Seed: 7, Journal: true})
+	svc, err := New(Config{ShardCap: 4, Journal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestServiceAbsorbsVanishedRequester(t *testing.T) {
 // survivors' requests — nobody is stranded behind a dead batch.
 func TestServiceAbsorbedBatchLeavesQueueRunnable(t *testing.T) {
 	t.Parallel()
-	svc, err := New(Config{ShardCap: 8, Seed: 5, MaxBatch: 3})
+	svc, err := New(Config{ShardCap: 8, MaxBatch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestServiceAbsorbedBatchLeavesQueueRunnable(t *testing.T) {
 
 func TestServiceCancelBeforeEpoch(t *testing.T) {
 	t.Parallel()
-	svc, err := New(Config{ShardCap: 4, Seed: 7})
+	svc, err := New(Config{ShardCap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestServiceCancelBeforeEpoch(t *testing.T) {
 // each release makes exactly one queued acquire grantable.
 func TestServiceExhaustionAndBackfill(t *testing.T) {
 	t.Parallel()
-	svc, err := New(Config{ShardCap: 2, Seed: 3})
+	svc, err := New(Config{ShardCap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestServiceExhaustionAndBackfill(t *testing.T) {
 
 func TestServiceReleaseValidation(t *testing.T) {
 	t.Parallel()
-	svc, err := New(Config{Shards: 2, ShardCap: 4, Seed: 1})
+	svc, err := New(Config{Shards: 2, ShardCap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

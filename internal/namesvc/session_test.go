@@ -24,7 +24,7 @@ func sessionTestConfig(addrs ...string) SessionConfig {
 
 func TestSessionBasicOps(t *testing.T) {
 	t.Parallel()
-	svc, addr := startServer(t, Config{ShardCap: 32, Seed: 1})
+	svc, addr := startServer(t, Config{ShardCap: 32})
 	cfg := sessionTestConfig(addr)
 	cfg.OpTimeout = 5 * time.Second
 	s, err := DialSession(cfg)
@@ -63,7 +63,7 @@ func TestSessionBasicOps(t *testing.T) {
 
 func TestSessionClosedRejectsOps(t *testing.T) {
 	t.Parallel()
-	_, addr := startServer(t, Config{ShardCap: 8, Seed: 2})
+	_, addr := startServer(t, Config{ShardCap: 8})
 	s, err := DialSession(sessionTestConfig(addr))
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSessionDialFailsWhenUnreachable(t *testing.T) {
 
 func TestSessionOpTimeoutUnderPartition(t *testing.T) {
 	t.Parallel()
-	_, addr := startServer(t, Config{ShardCap: 16, Seed: 3})
+	_, addr := startServer(t, Config{ShardCap: 16})
 	link := faultnet.NewLink("c0")
 	p, err := faultnet.NewProxy("127.0.0.1:0", addr, link)
 	if err != nil {
@@ -116,7 +116,7 @@ func TestSessionOpTimeoutUnderPartition(t *testing.T) {
 // succeeds.
 func TestSessionReconnectsAfterReset(t *testing.T) {
 	t.Parallel()
-	_, addr := startServer(t, Config{ShardCap: 16, Seed: 4})
+	_, addr := startServer(t, Config{ShardCap: 16})
 	link := faultnet.NewLink("c0")
 	p, err := faultnet.NewProxy("127.0.0.1:0", addr, link)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestSessionReconnectsAfterReset(t *testing.T) {
 // finally runs — the teardown must not release stolen names.
 func TestSessionReclaimStealBeatsTeardown(t *testing.T) {
 	t.Parallel()
-	svc, addr := startServer(t, Config{ShardCap: 32, Seed: 5})
+	svc, addr := startServer(t, Config{ShardCap: 32})
 	link1 := faultnet.NewLink("route1")
 	p1, err := faultnet.NewProxy("127.0.0.1:0", addr, link1)
 	if err != nil {
@@ -233,7 +233,7 @@ func TestSessionReclaimStealBeatsTeardown(t *testing.T) {
 // OnGrantLost and drops it from Held — exact accounting either way.
 func TestSessionGrantLostReporting(t *testing.T) {
 	t.Parallel()
-	svc, addr := startServer(t, Config{ShardCap: 16, Seed: 6})
+	svc, addr := startServer(t, Config{ShardCap: 16})
 	link := faultnet.NewLink("c0")
 	p, err := faultnet.NewProxy("127.0.0.1:0", addr, link)
 	if err != nil {

@@ -38,7 +38,6 @@ func TestDifferentialSimVsRealServer(t *testing.T) {
 				Shards:   scn.Shards,
 				ShardCap: scn.ShardCap,
 				MaxBatch: scn.MaxBatch,
-				Seed:     7,
 				Journal:  true,
 			})
 			if err != nil {
@@ -70,7 +69,7 @@ func TestDifferentialSimVsRealServer(t *testing.T) {
 // server without ManualEpochs refuses the epoch op with RejectUnsupported
 // rather than perturbing its autonomous epoch loops.
 func TestManualEpochRejectedOnOrdinaryServer(t *testing.T) {
-	svc, err := namesvc.New(namesvc.Config{Shards: 1, ShardCap: 8, Seed: 1})
+	svc, err := namesvc.New(namesvc.Config{Shards: 1, ShardCap: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

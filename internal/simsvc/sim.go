@@ -81,7 +81,6 @@ func NewSim(scn Scenario, seed uint64) (*Sim, error) {
 		Shards:   scn.Shards,
 		ShardCap: scn.ShardCap,
 		MaxBatch: scn.MaxBatch,
-		Seed:     seed,
 		Journal:  true,
 	})
 	if err != nil {

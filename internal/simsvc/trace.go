@@ -121,7 +121,6 @@ func (t *Trace) ReplayService() (*ReplayResult, error) {
 		Shards:   t.Shards,
 		ShardCap: t.ShardCap,
 		MaxBatch: t.MaxBatch,
-		Seed:     t.Seed,
 		Journal:  true,
 	})
 	if err != nil {
@@ -164,7 +163,7 @@ func (t *Trace) ReplayService() (*ReplayResult, error) {
 // ReplayWire replays the trace through a real server over the wire: one
 // pipelined connection to addr, which must be a manual-epoch journaling
 // server (blnamed -manual-epochs -journal, or a ServerConfig.ManualEpochs
-// Server in-process) built with the trace's Shards/ShardCap/MaxBatch/Seed.
+// Server in-process) built with the trace's Shards/ShardCap/MaxBatch.
 //
 // Acquires and releases pipeline; epoch ops are awaited barriers, which is
 // what pins epoch composition: every acquire recorded before an epoch is on
