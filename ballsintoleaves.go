@@ -57,8 +57,8 @@ import (
 	"ballsintoleaves/internal/baseline"
 	"ballsintoleaves/internal/core"
 	"ballsintoleaves/internal/proto"
-	"ballsintoleaves/internal/runtime"
 	"ballsintoleaves/internal/sim"
+	"ballsintoleaves/internal/transport"
 )
 
 // Rename simulates one complete execution of the selected renaming
@@ -107,11 +107,10 @@ func renameTree(o *options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	procs := core.Processes(balls)
 	var engRes sim.Result
 	switch o.engine {
 	case ReferenceEngine:
-		eng, err := sim.New(sim.Config{Adversary: o.crashes.build(), Budget: o.budget, MaxRounds: o.maxRounds}, procs)
+		eng, err := sim.New(sim.Config{Adversary: o.crashes.build(), Budget: o.budget, MaxRounds: o.maxRounds}, core.Processes(balls))
 		if err != nil {
 			return nil, err
 		}
@@ -120,11 +119,7 @@ func renameTree(o *options) (*Result, error) {
 			return nil, err
 		}
 	case ConcurrentEngine:
-		eng, err := runtime.New(runtime.Config{Adversary: o.crashes.build(), Budget: o.budget, MaxRounds: o.maxRounds}, procs)
-		if err != nil {
-			return nil, err
-		}
-		engRes, err = eng.Run()
+		engRes, err = renameConcurrent(o, balls)
 		if err != nil {
 			return nil, err
 		}
@@ -132,6 +127,33 @@ func renameTree(o *options) (*Result, error) {
 		return nil, fmt.Errorf("ballsintoleaves: unknown engine %v", o.engine)
 	}
 	return resultFromEngine(engRes, o), nil
+}
+
+// renameConcurrent runs one goroutine per ball over the in-process
+// transport hub, with the reference engine's round cap and crash budget.
+func renameConcurrent(o *options, balls []*core.Ball) (sim.Result, error) {
+	maxRounds := o.maxRounds
+	if maxRounds <= 0 {
+		maxRounds = 10*o.n + 64
+	}
+	byID := make(map[proto.ID]*core.Ball, len(balls))
+	members := make([]proto.ID, len(balls))
+	for i, b := range balls {
+		byID[b.ID()] = b
+		members[i] = b.ID()
+	}
+	sum, err := transport.RunAll(members, transport.NetConfig{Adversary: o.crashes.build(), Budget: o.budget},
+		func(id proto.ID) (transport.Process, error) { return byID[id], nil }, maxRounds)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return sim.Result{
+		Rounds:    sum.Rounds,
+		Decisions: sum.Decisions,
+		Crashed:   sum.Crashed,
+		Messages:  sum.Messages,
+		Bytes:     sum.Bytes,
+	}, nil
 }
 
 // renameNaive runs the flat randomized baseline. Failure-free runs use the

@@ -2,9 +2,10 @@
 // servers must assign themselves one-to-one to n shards, with servers
 // crashing mid-protocol.
 //
-// This example runs the real concurrent engine (one goroutine per server,
-// channels as network links) and injects random crashes with partial
-// delivery of the victims' final broadcasts — the paper's failure model.
+// This example runs the real concurrent engine (one goroutine per server
+// over the in-process transport hub) and injects random crashes with
+// partial delivery of the victims' final broadcasts — the paper's failure
+// model.
 // The surviving servers still end up with unique shards.
 //
 // Run with:

@@ -5,7 +5,7 @@
 // which processes crash and — crucially — which subset of recipients still
 // receives each crashing process's final broadcast.
 //
-// Both simulation engines (internal/sim, internal/runtime) and the fast
+// The reference engine (internal/sim), the transport fabric and the fast
 // cohort simulator (internal/core) drive the same Strategy interface, so a
 // strategy written once can attack any algorithm on any engine. Engines
 // enforce the global crash budget t < n; strategies may consult the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ballsintoleaves/internal/transport"
 	"ballsintoleaves/internal/wire"
 )
 
@@ -44,7 +43,7 @@ type leaderState struct {
 // followerLink is one live leader→follower stream. sentIdx advances as
 // the sender drains the queue; notify (capacity 1) wakes it.
 type followerLink struct {
-	peer    *transport.Peer
+	peer    *Peer
 	sentIdx uint64
 	notify  chan struct{}
 }
@@ -153,7 +152,7 @@ func (n *Node) runPeer(l *leaderState, peerID int) {
 // whose position vector already equals the leader's skips the snapshots
 // entirely and just acknowledges the attach index.
 func (n *Node) attachFollower(l *leaderState, peerID int) error {
-	p, err := transport.DialPeer(n.cfg.Peers[peerID].ReplAddr, n.cfg.ElectionTimeout)
+	p, err := DialPeer(n.cfg.Peers[peerID].ReplAddr, n.cfg.ElectionTimeout)
 	if err != nil {
 		return err
 	}
@@ -245,7 +244,7 @@ func positionsEqual(a, b []uint64) bool {
 // queue from the link's cursor, heartbeat when idle, and bail out when
 // the link's cursor falls off the bounded queue (the next attach
 // resyncs from a snapshot).
-func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *transport.Peer) error {
+func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *Peer) error {
 	type outRecord struct {
 		idx     uint64
 		shard   int
@@ -312,7 +311,7 @@ func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *transport.Peer
 // recvAcks is the receiver half of one stream session: cumulative acks
 // advance the peer's match index and possibly the commit; a nack (or a
 // higher term) condemns the session.
-func (n *Node) recvAcks(l *leaderState, peerID int, p *transport.Peer) error {
+func (n *Node) recvAcks(l *leaderState, peerID int, p *Peer) error {
 	idle := 2 * n.cfg.ElectionTimeout
 	for {
 		body, err := p.Recv(time.Now().Add(idle))

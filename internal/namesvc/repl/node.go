@@ -10,7 +10,6 @@ import (
 
 	"ballsintoleaves/internal/namesvc"
 	"ballsintoleaves/internal/namesvc/durable"
-	"ballsintoleaves/internal/transport"
 	"ballsintoleaves/internal/wire"
 )
 
@@ -109,7 +108,7 @@ type Node struct {
 	compactFloor   uint64       // highest pruned replication-log index
 	electionReason string       // why the node last changed term or role
 	srv            *namesvc.Server
-	streams        map[*transport.Peer]struct{} // live accepted peer links
+	streams        map[*Peer]struct{} // live accepted peer links
 	closed         bool
 
 	stop chan struct{}
@@ -171,7 +170,7 @@ func Start(cfg Config) (*Node, error) {
 		electionReason: "boot",
 		leaderID:       -1,
 		lastContact:    time.Now(),
-		streams:        make(map[*transport.Peer]struct{}),
+		streams:        make(map[*Peer]struct{}),
 		stop:           make(chan struct{}),
 	}
 	n.commitCond = sync.NewCond(&n.mu)
@@ -465,7 +464,7 @@ func (n *Node) Campaign() bool {
 
 // requestVote asks one peer for its vote in term.
 func (n *Node) requestVote(addr string, term, lastRecTerm, position uint64) (uint64, bool) {
-	p, err := transport.DialPeer(addr, n.cfg.ElectionTimeout)
+	p, err := DialPeer(addr, n.cfg.ElectionTimeout)
 	if err != nil {
 		return 0, false
 	}
@@ -554,7 +553,7 @@ func (n *Node) acceptLoop() {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		p := transport.NewPeer(conn)
+		p := NewPeer(conn)
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
@@ -576,7 +575,7 @@ func (n *Node) acceptLoop() {
 }
 
 // serveLink dispatches one accepted peer link on its first frame.
-func (n *Node) serveLink(p *transport.Peer) {
+func (n *Node) serveLink(p *Peer) {
 	body, err := p.Recv(time.Now().Add(replIOTimeout))
 	if err != nil || len(body) == 0 {
 		return
@@ -601,7 +600,7 @@ func (n *Node) serveLink(p *transport.Peer) {
 // the election timeout, a higher-term request is refused *without
 // adopting its term*, so a returning partitioned node's inflated term
 // cannot depose a healthy leader.
-func (n *Node) serveVote(p *transport.Peer, body []byte) {
+func (n *Node) serveVote(p *Peer, body []byte) {
 	reqTerm, candidate, candRecTerm, candPos, err := decodeVoteReq(body)
 	if err != nil {
 		return
@@ -643,7 +642,7 @@ func (n *Node) serveVote(p *transport.Peer, body []byte) {
 // buffered on the link is processed before the fsync-and-acknowledge
 // step, so a burst of records (all shards of one epoch tick) costs one
 // group-fsync round and one ack frame, not one per record.
-func (n *Node) serveStream(p *transport.Peer, hello []byte) {
+func (n *Node) serveStream(p *Peer, hello []byte) {
 	term, leaderID, err := decodeHello(hello)
 	if err != nil {
 		return

@@ -1,4 +1,4 @@
-package transport
+package repl
 
 import (
 	"bufio"
@@ -9,13 +9,11 @@ import (
 	"ballsintoleaves/internal/wire"
 )
 
-// The lock-step fabric above models the paper's synchronous rounds. The
-// replication layer (internal/namesvc/repl) needs something different: a
-// long-lived, FIFO, length-prefixed message stream between two named
-// coordinator processes, with no round structure and no coordinator in
-// the middle. Peer is that primitive: a thin framed pipe over one TCP
-// connection, sharing the wire framing (and its torn/oversized-frame
-// rejection) with the round transport.
+// Replication needs a long-lived, FIFO, length-prefixed message stream
+// between two named coordinator processes, with no round structure and no
+// coordinator in the middle. Peer is that primitive: a thin framed pipe
+// over one TCP connection, sharing the wire framing (and its
+// torn/oversized-frame rejection) with the paper's round transport.
 //
 // Concurrency contract: one goroutine may call Send/Flush while another
 // calls Recv. Send is internally locked, so multiple writers are safe;

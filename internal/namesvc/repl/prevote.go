@@ -3,7 +3,6 @@ package repl
 import (
 	"time"
 
-	"ballsintoleaves/internal/transport"
 	"ballsintoleaves/internal/wire"
 )
 
@@ -60,7 +59,7 @@ func (n *Node) preVote(nextTerm, lastRecTerm, position uint64) bool {
 // requestPreVote polls one peer; the returned term is the responder's
 // current term, never an adopted one.
 func (n *Node) requestPreVote(addr string, nextTerm, lastRecTerm, position uint64) (uint64, bool) {
-	p, err := transport.DialPeer(addr, n.cfg.ElectionTimeout)
+	p, err := DialPeer(addr, n.cfg.ElectionTimeout)
 	if err != nil {
 		return 0, false
 	}
@@ -85,7 +84,7 @@ func (n *Node) requestPreVote(addr string, nextTerm, lastRecTerm, position uint6
 // disk: grant only if the candidate's term would beat ours, we are not
 // hearing a live leader (stickiness), and the candidate is at least as
 // fresh as this replica.
-func (n *Node) servePreVote(p *transport.Peer, body []byte) {
+func (n *Node) servePreVote(p *Peer, body []byte) {
 	reqTerm, _, candRecTerm, candPos, err := decodePreVoteReq(body)
 	if err != nil {
 		return

@@ -125,7 +125,8 @@ type sessOp struct {
 // is revoked by the server's connection-death absorption before its name
 // can be re-granted; releases are retried with NotHeld-after-retry
 // treated as success (the release landed, or the grant was revoked —
-// either way the end state holds); and a release can never free another
+// either way the end state holds), as is NotHeld on a first release of a
+// grant the reclaim pass found revoked; and a release can never free another
 // connection's grant because the server validates releases against the
 // connection's own holdings.
 type Session struct {
@@ -134,6 +135,7 @@ type Session struct {
 	mu           sync.Mutex
 	c            *Client        // current connection; nil while reconnecting
 	held         map[int]uint64 // acknowledged grants: name -> client
+	lost         map[int]bool   // grants revoked while away, not yet released or re-granted
 	queue        []*sessOp      // awaiting (re)submission
 	inflight     map[*sessOp]struct{}
 	hint         string // freshest leader hint
@@ -160,6 +162,7 @@ func DialSession(cfg SessionConfig) (*Session, error) {
 	s := &Session{
 		cfg:      cfg,
 		held:     make(map[int]uint64),
+		lost:     make(map[int]bool),
 		inflight: make(map[*sessOp]struct{}),
 		jitter:   rng.New(rng.DeriveSeed(cfg.Seed, 0x5e55)),
 		done:     make(chan struct{}),
@@ -376,6 +379,7 @@ func (s *Session) completeGrant(op *sessOp, g Grant, err error) {
 	delete(s.inflight, op)
 	if err == nil {
 		s.held[g.Name] = op.client
+		delete(s.lost, g.Name)
 		s.mu.Unlock()
 		op.gcb(g, nil)
 		return
@@ -389,6 +393,7 @@ func (s *Session) completeErr(op *sessOp, err error) {
 	if err == nil {
 		if op.kind == sessRelease {
 			delete(s.held, op.name)
+			delete(s.lost, op.name)
 		}
 		s.mu.Unlock()
 		op.ecb(nil)
@@ -434,12 +439,15 @@ func (s *Session) failOrRetryLocked(op *sessOp, err error) {
 		s.kickReconnectLocked(rej.Msg)
 		s.mu.Unlock()
 	case errors.As(err, &rej) && rej.Code == RejectNotHeld &&
-		op.kind == sessRelease && op.attempts > 1:
+		op.kind == sessRelease && (op.attempts > 1 || s.lost[op.name]):
 		// A retried release answered NotHeld: either the first attempt
 		// landed and the ack was lost, or the server revoked the grant
-		// while we were away. Both end with the name not held here —
-		// the release's goal — so this is success.
+		// while we were away. The same holds for a first release of a
+		// grant the reclaim pass found revoked — the caller may have
+		// issued it before OnGrantLost reached them. All end with the
+		// name not held here — the release's goal — so this is success.
 		delete(s.held, op.name)
+		delete(s.lost, op.name)
 		s.mu.Unlock()
 		op.ecb(nil)
 	case errors.Is(err, ErrClientClosed):
@@ -605,6 +613,7 @@ func (s *Session) reattach(c *Client) bool {
 				// away; surface it so duplicate accounting stays exact.
 				s.mu.Lock()
 				delete(s.held, g.name)
+				s.lost[g.name] = true
 				s.counters.Lost++
 				s.mu.Unlock()
 				s.cfg.Logf("session: grant %d (client %d) lost across reconnect: %v",

@@ -281,4 +281,14 @@ func TestSessionGrantLostReporting(t *testing.T) {
 	if c := s.Counters(); c.Lost != 1 {
 		t.Fatalf("counters %+v: want Lost=1", c)
 	}
+	// A release of the lost grant — issued by a caller who had not yet
+	// seen OnGrantLost — reaches its goal: the name is not held here.
+	if err := s.ReleaseSync(g.Name); err != nil {
+		t.Fatalf("release of a lost grant: %v", err)
+	}
+	// The release settled the lost name: releasing it again answers NotHeld.
+	var rej *RejectError
+	if err := s.ReleaseSync(g.Name); !errors.As(err, &rej) || rej.Code != RejectNotHeld {
+		t.Fatalf("second release of a lost grant: %v, want NotHeld", err)
+	}
 }

@@ -6,8 +6,9 @@
 //
 // Determinism contract: with identical processes, adversary and
 // configuration, every run produces identical message sequences, decisions
-// and round counts. The goroutine-based engine in internal/runtime and the
-// fast cohort simulator in internal/core are validated against this engine.
+// and round counts. The goroutine-per-process loopback in
+// internal/transport and the fast cohort simulator in internal/core are
+// validated against this engine.
 package sim
 
 import (

@@ -8,8 +8,8 @@ import (
 	"ballsintoleaves/internal/core"
 	"ballsintoleaves/internal/ids"
 	"ballsintoleaves/internal/proto"
-	"ballsintoleaves/internal/runtime"
 	"ballsintoleaves/internal/sim"
+	"ballsintoleaves/internal/transport"
 )
 
 func runTraced(t *testing.T, n int, adv adversary.Strategy) *Log {
@@ -106,11 +106,15 @@ func TestTraceUnderConcurrentEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &Log{}
-	eng, err := runtime.New(runtime.Config{}, WrapAll(core.Processes(balls), log))
-	if err != nil {
-		t.Fatal(err)
+	procs := make(map[proto.ID]proto.Process, n)
+	members := make([]proto.ID, 0, n)
+	for _, p := range WrapAll(core.Processes(balls), log) {
+		procs[p.ID()] = p
+		members = append(members, p.ID())
 	}
-	res, err := eng.Run()
+	res, err := transport.RunAll(members, transport.NetConfig{}, func(id proto.ID) (transport.Process, error) {
+		return procs[id], nil
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,19 @@ type Summary struct {
 type NetConfig struct {
 	// Adversary plans mid-broadcast crashes each round; nil means
 	// failure-free. Strategies observe rounds through adversary.RoundView
-	// exactly as on the simulation engines, except that BallInfo
-	// introspection is unavailable across a real network (Info always
-	// reports false), so depth-targeting strategies degrade to no-ops.
+	// exactly as on the simulation engines. BallInfo introspection works
+	// in-process (RunAll over processes that implement Info); across a
+	// real network Info always reports false, so depth-targeting
+	// strategies degrade to no-ops over TCP.
 	Adversary adversary.Strategy
 	// Budget caps total crashes (the model's t). Zero means n-1.
 	Budget int
+}
+
+// introspector is the optional in-process surface behind RoundView.Info
+// (core.Ball implements it).
+type introspector interface {
+	Info() adversary.BallInfo
 }
 
 // memberStatus tracks one participant through the run.
@@ -63,6 +70,11 @@ type fabric struct {
 
 	round    int
 	payloads [][]byte
+
+	// intro exposes in-process members' state to RoundView.Info, indexed
+	// like members. RunAll fills it from processes that implement
+	// introspector; over TCP every entry stays nil and Info reports false.
+	intro []introspector
 
 	decisions []proto.Decision
 	crashed   []proto.ID
@@ -104,6 +116,7 @@ func newFabric(members []proto.ID, cfg NetConfig) (*fabric, error) {
 		adv:      adv,
 		budget:   budget,
 		payloads: make([][]byte, len(sorted)),
+		intro:    make([]introspector, len(sorted)),
 	}, nil
 }
 
@@ -194,12 +207,18 @@ func (f *fabric) step(round int, payloads [][]byte) (deliveries [][]proto.Messag
 	// ascending sender order, always including its own; a crashing sender's
 	// final payload reaches only the recipients its delivery predicate
 	// selects.
+	senders := 0
+	for _, payload := range f.payloads {
+		if payload != nil {
+			senders++
+		}
+	}
 	deliveries = make([][]proto.Message, len(f.members))
 	for i, st := range f.status {
 		if st != memberLive {
 			continue
 		}
-		var msgs []proto.Message
+		msgs := make([]proto.Message, 0, senders)
 		for j, payload := range f.payloads {
 			if payload == nil {
 				continue
@@ -262,11 +281,17 @@ func (v *fabricView) Payload(id proto.ID) []byte {
 	return v.fab.payloads[idx]
 }
 
-// Info is unavailable across a network boundary: the transport never
-// inspects process internals, so strong introspecting adversaries degrade
-// gracefully.
-func (v *fabricView) Info(proto.ID) (adversary.BallInfo, bool) {
-	return adversary.BallInfo{}, false
+// Info reads a non-crashed member's in-process state. On the loopback the
+// view exists only while a round closes under the hub mutex, when every
+// live member has finished Send and not yet started Deliver, so the read
+// is race-free and sees what sim's view sees. A member without an
+// introspector (every member over TCP) reports false.
+func (v *fabricView) Info(id proto.ID) (adversary.BallInfo, bool) {
+	idx, ok := v.fab.index[id]
+	if !ok || v.fab.intro[idx] == nil || v.fab.status[idx] == memberCrashed {
+		return adversary.BallInfo{}, false
+	}
+	return v.fab.intro[idx].Info(), true
 }
 
 func (v *fabricView) Budget() int { return v.fab.budget }

@@ -14,9 +14,12 @@ import (
 // for each member (it is called from the spawning goroutine, concurrently
 // safe construction is the caller's concern only if mk shares state).
 //
-// It is the one-shot group primitive used by the name service's distributed
-// epoch runner and by examples: a caller that wants per-process results or
-// a TCP substrate drives Run per endpoint instead.
+// Processes that implement Info() adversary.BallInfo (core.Ball does) are
+// visible to the adversary through RoundView.Info, as on sim.
+//
+// It is the goroutine-per-process substrate behind the root package's
+// ConcurrentEngine: a caller that wants per-process results or a TCP
+// substrate drives Run per endpoint instead.
 func RunAll(members []proto.ID, cfg NetConfig, mk func(id proto.ID) (Process, error), maxRounds int) (Summary, error) {
 	lb, err := NewLoopback(members, cfg)
 	if err != nil {
@@ -31,6 +34,7 @@ func RunAll(members []proto.ID, cfg NetConfig, mk func(id proto.ID) (Process, er
 		if eps[i], err = lb.Endpoint(id); err != nil {
 			return Summary{}, err
 		}
+		lb.fab.intro[lb.fab.index[id]], _ = procs[i].(introspector)
 	}
 	errs := make([]error, len(members))
 	var wg sync.WaitGroup

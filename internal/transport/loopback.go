@@ -10,7 +10,8 @@ import (
 // Loopback is the in-process Transport implementation: a hub that
 // synchronizes lock-step rounds between goroutines with the exact
 // delivery, crash and accounting semantics of the simulation engines. It
-// is the substrate for tests, examples and benchmarks that want a real
+// is the substrate of the root package's ConcurrentEngine (through
+// RunAll) and of tests, examples and benchmarks that want a real
 // Transport without sockets, and the reference against which the TCP
 // implementation is easiest to reason about.
 //
@@ -119,7 +120,12 @@ func (l *Loopback) collect(idx, round int) (Round, error) {
 	if l.inboxRound[idx] > round {
 		return Round{}, fmt.Errorf("transport: collect for round %d after round %d closed", round, l.inboxRound[idx])
 	}
-	return l.inbox[idx], nil
+	// Release the round once its member holds it; otherwise, while the
+	// next round's deliveries are built, the hub keeps two rounds of n²
+	// messages reachable.
+	rd := l.inbox[idx]
+	l.inbox[idx] = Round{}
+	return rd, nil
 }
 
 // halt records a member's sign-off; the current round may become closable

@@ -75,8 +75,8 @@ const (
 	// ReferenceEngine drives one faithful state machine per process on the
 	// single-threaded lock-step engine.
 	ReferenceEngine
-	// ConcurrentEngine runs one goroutine per process with channel links —
-	// the paper's model rendered in Go concurrency.
+	// ConcurrentEngine runs one goroutine per process over the in-process
+	// transport hub — the paper's model rendered in Go concurrency.
 	ConcurrentEngine
 )
 
