@@ -1,6 +1,8 @@
 package ballsintoleaves
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -256,6 +258,89 @@ func TestProtocolManualDrive(t *testing.T) {
 			t.Fatalf("bad name %d", name)
 		}
 		seen[name] = true
+	}
+}
+
+// driveProtocolsInOrder runs n Protocols by hand, failure-free, handing
+// each one a round's messages rearranged by reorder (ascending sender order
+// when reorder is nil). It returns each process's decided name and
+// decision round, indexed like the ascending peer IDs, and the rounds the
+// system ran.
+func driveProtocolsInOrder(t *testing.T, n int, seed uint64, reorder func(round int, msgs []Message)) (names, decidedAt []int, rounds int) {
+	t.Helper()
+	procs := make([]*Protocol, n)
+	for i := range procs {
+		p, err := NewProtocol(n, seed, uint64(1000+37*i), BallsIntoLeaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = p
+	}
+	names = make([]int, n)
+	decidedAt = make([]int, n)
+	for round := 1; ; round++ {
+		if round > 200 {
+			t.Fatal("protocol did not terminate")
+		}
+		var msgs []Message
+		for _, p := range procs {
+			if p.Done() {
+				continue
+			}
+			payload := p.Send(round)
+			msgs = append(msgs, Message{From: p.ID(), Payload: append([]byte(nil), payload...)})
+		}
+		done := true
+		for i, p := range procs {
+			if p.Done() {
+				continue
+			}
+			own := append([]Message(nil), msgs...)
+			if reorder != nil {
+				reorder(round, own)
+			}
+			p.Deliver(round, own)
+			if name, ok := p.Decided(); ok && decidedAt[i] == 0 {
+				names[i], decidedAt[i] = name, round
+			}
+			if !p.Done() {
+				done = false
+			}
+		}
+		if done {
+			return names, decidedAt, round
+		}
+	}
+}
+
+// TestProtocolDeliverAnyOrder pins Protocol.Deliver's "any order" promise:
+// reversed and shuffled deliveries must give the same decisions, in the
+// same rounds, as the ascending order every engine uses.
+func TestProtocolDeliverAnyOrder(t *testing.T) {
+	t.Parallel()
+	const n = 40
+	for seed := uint64(1); seed <= 3; seed++ {
+		wantNames, wantAt, wantRounds := driveProtocolsInOrder(t, n, seed, nil)
+		if wantRounds <= 3 {
+			t.Fatalf("seed %d: run ended after %d rounds; want several phases", seed, wantRounds)
+		}
+		shuffler := rand.New(rand.NewPCG(seed, 99))
+		for _, c := range []struct {
+			name    string
+			reorder func(int, []Message)
+		}{
+			{"reversed", func(_ int, msgs []Message) { slices.Reverse(msgs) }},
+			{"shuffled", func(_ int, msgs []Message) {
+				shuffler.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
+			}},
+		} {
+			name := c.name
+			names, at, rounds := driveProtocolsInOrder(t, n, seed, c.reorder)
+			if rounds != wantRounds || !slices.Equal(names, wantNames) || !slices.Equal(at, wantAt) {
+				t.Errorf("seed %d, %s: rounds %d names %v at %v; ascending order gives rounds %d names %v at %v",
+					seed, name, rounds, names, at, wantRounds, wantNames, wantAt)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,8 @@
 package adversary
 
 import (
+	"slices"
+
 	"ballsintoleaves/internal/proto"
 	"ballsintoleaves/internal/rng"
 )
@@ -70,9 +72,30 @@ func DeliverNone(proto.ID) bool { return false }
 // then only visible from the victim's silence in later rounds.
 func DeliverAll(proto.ID) bool { return true }
 
-// DeliverToSet delivers only to the given recipients.
-func DeliverToSet(set map[proto.ID]bool) func(proto.ID) bool {
-	return func(to proto.ID) bool { return set[to] }
+// DeliverToSet delivers only to the given recipients, which must be in
+// ascending order; membership is a binary search.
+func DeliverToSet(ascending []proto.ID) func(proto.ID) bool {
+	return func(to proto.ID) bool {
+		_, ok := slices.BinarySearch(ascending, to)
+		return ok
+	}
+}
+
+// deliverToRandomHalf lets each of the given recipients except the victim
+// hear the victim's final broadcast with probability 1/2. The coins come
+// from a stream derived from (seed, victim, round), one per recipient in
+// the given order, so delivery is deterministic per crash. alive must be
+// ascending, as RoundView.Alive is.
+func deliverToRandomHalf(seed uint64, victim proto.ID, round int, alive []proto.ID) func(proto.ID) bool {
+	var coins rng.Source
+	coins.Reseed(rng.DeriveSeed(seed^uint64(victim), uint64(round)))
+	received := make([]proto.ID, 0, len(alive)/2+1)
+	for _, id := range alive {
+		if id != victim && coins.Coin(1, 2) {
+			received = append(received, id)
+		}
+	}
+	return DeliverToSet(received)
 }
 
 // AlternatingByRank delivers to every second process of the given
@@ -168,17 +191,10 @@ func (r *Random) Plan(view RoundView) []CrashSpec {
 		idx := r.src.Intn(len(alive))
 		victim := alive[idx]
 		alive = append(alive[:idx:idx], alive[idx+1:]...)
-		// Random partial delivery: each recipient hears the final
-		// broadcast with probability 1/2, decided by a victim-specific
-		// stream so delivery is deterministic per (seed, victim, round).
-		recvSrc := rng.Derive(r.Seed^uint64(victim), uint64(view.Round()))
-		received := make(map[proto.ID]bool)
-		for _, id := range view.Alive() {
-			if id != victim && recvSrc.Coin(1, 2) {
-				received[id] = true
-			}
-		}
-		specs = append(specs, CrashSpec{Victim: victim, Deliver: DeliverToSet(received)})
+		// Random partial delivery, over everyone alive at the start of
+		// the round.
+		deliver := deliverToRandomHalf(r.Seed, victim, view.Round(), view.Alive())
+		specs = append(specs, CrashSpec{Victim: victim, Deliver: deliver})
 		r.planned++
 	}
 	return specs

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ballsintoleaves/internal/proto"
+	"ballsintoleaves/internal/rng"
 )
 
 // fakeView is a minimal RoundView for driving strategies directly.
@@ -47,9 +48,43 @@ func TestDeliveryHelpers(t *testing.T) {
 	if DeliverNone(5) || !DeliverAll(5) {
 		t.Fatal("DeliverNone/DeliverAll")
 	}
-	set := DeliverToSet(map[proto.ID]bool{7: true})
-	if !set(7) || set(8) {
-		t.Fatal("DeliverToSet")
+	set := DeliverToSet([]proto.ID{3, 7, 12})
+	for id, want := range map[proto.ID]bool{1: false, 3: true, 5: false, 7: true, 12: true, 13: false} {
+		if set(id) != want {
+			t.Fatalf("DeliverToSet(%v) = %v, want %v", id, !want, want)
+		}
+	}
+}
+
+// TestRandomHalfCoinStream pins the random-half receiver sets of Random
+// and DeepTarget to their definition: one coin per recipient other than
+// the victim, in ascending order, from the stream derived from (seed ^
+// victim, round).
+func TestRandomHalfCoinStream(t *testing.T) {
+	t.Parallel()
+	alive := make([]proto.ID, 300)
+	for i := range alive {
+		alive[i] = proto.ID(7*i + 5)
+	}
+	for _, c := range []struct {
+		seed   uint64
+		victim proto.ID
+		round  int
+	}{{1, alive[0], 1}, {2, alive[150], 4}, {0xdeeb, alive[299], 9}} {
+		coins := rng.Derive(c.seed^uint64(c.victim), uint64(c.round))
+		want := make(map[proto.ID]bool)
+		for _, id := range alive {
+			if id != c.victim && coins.Coin(1, 2) {
+				want[id] = true
+			}
+		}
+		got := deliverToRandomHalf(c.seed, c.victim, c.round, alive)
+		for id := proto.ID(0); id <= alive[len(alive)-1]+1; id++ {
+			if got(id) != want[id] {
+				t.Fatalf("seed %d victim %v round %d: delivery to %v = %v, want %v",
+					c.seed, c.victim, c.round, id, got(id), want[id])
+			}
+		}
 	}
 }
 

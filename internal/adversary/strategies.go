@@ -165,14 +165,8 @@ func (d *DeepTarget) Plan(view RoundView) []CrashSpec {
 		victim := atLeaf[idx]
 		atLeaf = append(atLeaf[:idx:idx], atLeaf[idx+1:]...)
 		// Deliver to a random half so views disagree about the freed leaf.
-		recvSrc := rng.Derive(d.Seed^uint64(victim), uint64(view.Round()))
-		received := make(map[proto.ID]bool)
-		for _, id := range alive {
-			if id != victim && recvSrc.Coin(1, 2) {
-				received[id] = true
-			}
-		}
-		specs = append(specs, CrashSpec{Victim: victim, Deliver: DeliverToSet(received)})
+		deliver := deliverToRandomHalf(d.Seed, victim, view.Round(), alive)
+		specs = append(specs, CrashSpec{Victim: victim, Deliver: deliver})
 	}
 	return specs
 }

@@ -223,6 +223,30 @@ func TestParallelChoicePlacesEveryone(t *testing.T) {
 	}
 }
 
+// TestParallelChoiceDeterministic pins RunParallelChoice to its seed: a
+// ball accepted by several bins must keep the same one on every call, or
+// the rounds it costs vary from run to run at a fixed seed.
+func TestParallelChoiceDeterministic(t *testing.T) {
+	t.Parallel()
+	for _, d := range []int{2, 4} {
+		for seed := uint64(0); seed < 4; seed++ {
+			want, err := RunParallelChoice(256, d, seed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for call := 0; call < 20; call++ {
+				got, err := RunParallelChoice(256, d, seed, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("d=%d seed %d: call %d gave %+v, first call %+v", d, seed, call, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestParallelChoiceMoreChoicesFewerRounds(t *testing.T) {
 	t.Parallel()
 	avg := func(d int) float64 {

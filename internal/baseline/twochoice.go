@@ -22,9 +22,10 @@ type PlacementResult struct {
 // RunParallelChoice simulates the capacity-one parallel d-choice protocol
 // (the [1]/[17] family adapted to exclusive bins): in each round every
 // unplaced ball probes d uniformly random bins; each still-free bin accepts
-// the lowest-labelled ball probing it; losers retry. The allocation is
-// one-to-one by construction, and the experiment measures how many rounds
-// that exclusivity costs (Θ(log n / log d + log log n)-ish for d ≥ 2,
+// the lowest-labelled ball probing it; a ball accepted by several bins
+// takes the lowest of them; losers retry. The allocation is one-to-one by
+// construction, and the experiment measures how many rounds that
+// exclusivity costs (Θ(log n / log d + log log n)-ish for d ≥ 2,
 // Θ(log n) for d = 1 — compare experiment E2's naive renaming, which is the
 // message-passing rendering of d = 1).
 //
@@ -46,35 +47,48 @@ func RunParallelChoice(n, d int, seed uint64, maxRounds int) (PlacementResult, e
 		unplaced[i] = i
 	}
 	res := PlacementResult{}
-	claim := make(map[int]int, n) // bin -> lowest prober this round
+	claim := make([]int, n) // bin -> lowest prober this round, -1 none
+	best := make([]int, n)  // ball -> lowest bin it won this round, -1 none
+	for i := range claim {
+		claim[i], best[i] = -1, -1
+	}
+	var claimed []int // bins claimed this round
 	for len(unplaced) > 0 {
 		if res.Rounds >= maxRounds {
 			return res, fmt.Errorf("baseline: %d balls unplaced after %d rounds", len(unplaced), res.Rounds)
 		}
 		res.Rounds++
-		clear(claim)
+		claimed = claimed[:0]
 		for _, ball := range unplaced {
 			for probe := 0; probe < d; probe++ {
 				bin := src.Intn(n)
 				if owner[bin] != -1 {
 					continue
 				}
-				if prev, ok := claim[bin]; !ok || ball < prev {
+				switch prev := claim[bin]; {
+				case prev == -1:
+					claim[bin] = ball
+					claimed = append(claimed, bin)
+				case ball < prev:
 					claim[bin] = ball
 				}
 			}
 		}
-		next := unplaced[:0]
-		won := make(map[int]bool, len(claim))
-		for bin, ball := range claim {
-			if !won[ball] { // a ball may win several probes; keep one bin
-				owner[bin] = ball
-				won[ball] = true
-				res.Placed++
+		// A ball may win several bins; it keeps the lowest.
+		for _, bin := range claimed {
+			ball := claim[bin]
+			if b := best[ball]; b == -1 || bin < b {
+				best[ball] = bin
 			}
+			claim[bin] = -1
 		}
+		next := unplaced[:0]
 		for _, ball := range unplaced {
-			if !won[ball] {
+			if bin := best[ball]; bin != -1 {
+				owner[bin] = ball
+				best[ball] = -1
+				res.Placed++
+			} else {
 				next = append(next, ball)
 			}
 		}

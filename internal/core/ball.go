@@ -226,8 +226,9 @@ func (b *Ball) deliverPaths(msgs []proto.Message) {
 	for i := range b.has {
 		b.has[i] = false
 	}
+	cursor := 0
 	for _, m := range msgs {
-		idx, ok := b.view.IndexOf(m.From)
+		idx, ok := b.view.indexFrom(m.From, &cursor)
 		if !ok || !b.view.Present(idx) {
 			// Unknown or already-removed sender: a correct process is
 			// known to everyone after the init round, so this can only be
@@ -242,7 +243,7 @@ func (b *Ball) deliverPaths(msgs []proto.Message) {
 		b.has[idx] = true
 		b.paths[idx] = p
 	}
-	applyPaths(b.cfg, b.view, b.has, b.paths)
+	applyPaths(b.cfg, b.view, b.view.orderedPresent(b.cfg.LabelPriority), b.has, b.paths)
 	if b.cfg.CheckInvariants {
 		if err := b.view.CheckConsistency(); err != nil {
 			panic(fmt.Sprintf("core: ball %v after path round: %v", b.id, err))
@@ -265,8 +266,9 @@ func (b *Ball) deliverPositions(round int, msgs []proto.Message) {
 	for i := range b.has {
 		b.has[i] = false
 	}
+	cursor := 0
 	for _, m := range msgs {
-		idx, ok := b.view.IndexOf(m.From)
+		idx, ok := b.view.indexFrom(m.From, &cursor)
 		if !ok || !b.view.Present(idx) {
 			continue
 		}

@@ -24,8 +24,11 @@ import (
 //     phases.
 //   - Views diverge only within a phase, and only about balls that crashed
 //     mid-broadcast; survivors are grouped by exactly which final
-//     broadcasts they received, and the O(n log n) priority move pass runs
-//     once per distinct group rather than once per ball.
+//     broadcasts they received, and the priority move pass runs once per
+//     distinct group rather than once per ball. The <R order is computed
+//     once per round and shared by every group, and a group's pass stops
+//     after its last member's turn: only the members' positions are kept,
+//     and later balls cannot affect an earlier ball's walk.
 //
 // Every per-phase buffer is preallocated or reused, so a failure-free phase
 // at steady state performs zero heap allocations (asserted by
@@ -76,6 +79,7 @@ type Cohort struct {
 	remapMark  []int32 // epoch marks validating remap entries
 	remapEpoch int32
 	groupEnd   []int32 // end offset of each group in memberBuf
+	turn       []int32 // per-ball index in the round's pass order, -1 if absent
 	memberBuf  []int32 // members bucketed by group
 	residueCnt []int32 // adjustRootRanks prefix counts
 	recvCnt    []int32 // adjustRootRanks per-survivor received counts
@@ -260,12 +264,15 @@ func (c *Cohort) runPhase() {
 	// Priority move pass, once per (residue mask × path-delivery mask)
 	// group of survivors — or once globally when there is no divergence at
 	// all, or when the only divergence is root residue, whose mid-pass
-	// removal cannot influence any other ball's walk.
+	// removal cannot influence any other ball's walk. Every group walks
+	// the same order snapshot, and survivors' paths reach every group.
+	order := c.passOrder()
+	copy(c.has, c.active)
 	if (len(c.residue) == 0 || rootResidueOnly) && len(pathVictims) == 0 {
 		members := c.activeMembers()
 		if len(members) > 0 {
 			c.work.CopyFrom(c.canon)
-			c.movePass(c.work, members, nil)
+			c.movePass(c.work, order, members, nil)
 			// A single-group pass computes the exact post-phase canonical
 			// state: survivors sit at their announced positions and silent
 			// balls (halted, or root residue dropped mid-pass) are gone.
@@ -275,8 +282,9 @@ func (c *Cohort) runPhase() {
 			c.canon, c.work = c.work, c.canon
 		}
 	} else {
+		c.indexOrder(order)
 		c.forEachGroup(pathVictims, func(gv *View, members []int32) {
-			c.movePass(gv, members, pathVictims)
+			c.movePass(gv, order[:c.passEnd(order, members)], members, pathVictims)
 		})
 	}
 
@@ -312,24 +320,19 @@ func (c *Cohort) choosePaths(gv *View, members []int32, ranks []int32) {
 	}
 }
 
-// movePass runs the priority move pass for one group view, recording the
-// members' resulting positions in c.newPos.
-func (c *Cohort) movePass(gv *View, members []int32, pathVictims []residueEntry) {
-	for i := range c.has {
-		c.has[i] = false
-	}
-	for idx, a := range c.active {
-		if a {
-			c.has[idx] = true // survivors' paths reach everyone
-		}
-	}
-	// Victims' paths reach only their receivers; membership of a group is
-	// uniform by construction, so test any member.
+// movePass runs the priority move pass for one group view over order (the
+// round's order snapshot, or a prefix of it ending after the members'
+// turns), recording the members' resulting positions in c.newPos. c.has
+// must mark the survivors; the path victims' bits are set here, to whether
+// this group received each victim's path.
+func (c *Cohort) movePass(gv *View, order []int32, members []int32, pathVictims []residueEntry) {
+	// Membership of a group is uniform by construction, so test any
+	// member.
 	probe := int(members[0])
 	for _, v := range pathVictims {
 		c.has[v.idx] = v.recv.Has(probe)
 	}
-	applyPaths(c.cfg, gv, c.has, c.paths)
+	applyPaths(c.cfg, gv, order, c.has, c.paths)
 	if c.cfg.CheckInvariants {
 		if err := gv.CheckConsistency(); err != nil {
 			panic(fmt.Sprintf("core: cohort phase %d path pass: %v", c.phase, err))
@@ -348,6 +351,54 @@ func (c *Cohort) movePass(gv *View, members []int32, pathVictims []residueEntry)
 	for _, m := range members {
 		c.newPos[m] = gv.Node(int(m))
 	}
+}
+
+// passOrder snapshots the <R order of the canonical view for this round's
+// move passes. A group view is the canonical view minus some residue, and
+// Remove never moves a ball, so each group's own snapshot is this order
+// with its absent balls skipped — which applyPaths does for free, since an
+// absent ball carries no path and removing it is a no-op. Survivors parked
+// at a leaf are left out: their path reaches every group and DescendAdd is
+// a no-op at a leaf.
+func (c *Cohort) passOrder() []int32 {
+	order := c.canon.orderedPresent(c.cfg.LabelPriority)
+	kept := order[:0]
+	for _, idx := range order {
+		if !c.active[idx] || !c.topo.IsLeaf(c.canon.Node(int(idx))) {
+			kept = append(kept, idx)
+		}
+	}
+	return kept
+}
+
+// indexOrder records each ball's turn in order for passEnd; balls not in
+// order get -1.
+func (c *Cohort) indexOrder(order []int32) {
+	if c.turn == nil {
+		c.turn = make([]int32, c.cfg.N)
+	}
+	for i := range c.turn {
+		c.turn[i] = -1
+	}
+	for i, idx := range order {
+		c.turn[idx] = int32(i)
+	}
+}
+
+// passEnd returns how much of order a group's move pass must walk: up to
+// and including its last member's turn. A ball's walk depends only on the
+// balls processed before it, so no later turn can change a member's
+// position. With CheckInvariants the pass runs to the end, so the whole
+// group view can be checked.
+func (c *Cohort) passEnd(order, members []int32) int {
+	if c.cfg.CheckInvariants {
+		return len(order)
+	}
+	end := int32(0)
+	for _, m := range members {
+		end = max(end, c.turn[m]+1)
+	}
+	return int(end)
 }
 
 // activeMembers lists the active dense indices in ascending order into the

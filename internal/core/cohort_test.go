@@ -53,63 +53,87 @@ func runCohortT(t *testing.T, cfg Config, labels []proto.ID) Result {
 // TestCohortMatchesSim is the load-bearing equivalence test: the fast
 // cohort simulator must reproduce the reference engine bit for bit —
 // same rounds, same decisions (names and rounds), same crash counts, same
-// message and byte totals — across path strategies and adversaries.
+// message and byte totals — across path strategies and adversaries. Each
+// case runs the cohort twice: with CheckInvariants, whose move passes walk
+// every group view to the end so it can be checked, and without, the
+// production configuration, whose group passes stop after the group's
+// last member. n=48 covers every adversary; the n=200 cases are the ones
+// where random partial delivery makes nearly every survivor its own view
+// group, so most group passes end well before the end of the order.
 func TestCohortMatchesSim(t *testing.T) {
 	t.Parallel()
-	const n = 48
-	for _, strategy := range []PathStrategy{RandomPaths, DeterministicPaths, HybridPaths, LevelDescent} {
-		for _, fac := range factories(n) {
-			for seed := uint64(0); seed < 3; seed++ {
-				name := fmt.Sprintf("%v/%s/seed%d", strategy, fac.name, seed)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					labels := ids.Random(n, seed+50)
-					cfg := Config{N: n, Seed: seed, Strategy: strategy, CheckInvariants: true}
-
-					balls, err := NewBalls(cfg, labels)
-					if err != nil {
-						t.Fatal(err)
+	for _, n := range []int{48, 200} {
+		for _, strategy := range []PathStrategy{RandomPaths, DeterministicPaths, HybridPaths, LevelDescent} {
+			for _, fac := range factories(n) {
+				if n != 48 && fac.name != "random-heavy" && fac.name != "at-round-burst" {
+					continue
+				}
+				for seed := uint64(0); seed < 3; seed++ {
+					name := fmt.Sprintf("%v/%s/seed%d", strategy, fac.name, seed)
+					if n != 48 {
+						name = fmt.Sprintf("n%d/%s", n, name)
 					}
-					eng, err := sim.New(sim.Config{Adversary: fac.make()}, Processes(balls))
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := eng.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					cfg.Adversary = fac.make()
-					got := runCohortT(t, cfg, labels)
-
-					if got.Rounds != want.Rounds {
-						t.Errorf("rounds: cohort %d, sim %d", got.Rounds, want.Rounds)
-					}
-					if got.Crashes != len(want.Crashed) {
-						t.Errorf("crashes: cohort %d, sim %d", got.Crashes, len(want.Crashed))
-					}
-					if got.CrashedDecided != want.CrashedDecided {
-						t.Errorf("crashed-decided: cohort %d, sim %d", got.CrashedDecided, want.CrashedDecided)
-					}
-					if len(got.Decisions) != len(want.Decisions) {
-						t.Fatalf("decisions: cohort %d, sim %d", len(got.Decisions), len(want.Decisions))
-					}
-					for i := range got.Decisions {
-						if got.Decisions[i] != want.Decisions[i] {
-							t.Errorf("decision %d: cohort %+v, sim %+v", i, got.Decisions[i], want.Decisions[i])
-						}
-					}
-					if got.Messages != want.Messages {
-						t.Errorf("messages: cohort %d, sim %d", got.Messages, want.Messages)
-					}
-					if got.Bytes != want.Bytes {
-						t.Errorf("bytes: cohort %d, sim %d", got.Bytes, want.Bytes)
-					}
-					if err := proto.Validate(got.Decisions, n); err != nil {
-						t.Error(err)
-					}
-				})
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						checkCohortMatchesSim(t, n, strategy, fac, seed)
+					})
+				}
 			}
+		}
+	}
+}
+
+// checkCohortMatchesSim runs one case on the reference engine and on the
+// cohort, with and without CheckInvariants, and compares the results.
+func checkCohortMatchesSim(t *testing.T, n int, strategy PathStrategy, fac advFactory, seed uint64) {
+	t.Helper()
+	labels := ids.Random(n, seed+50)
+	cfg := Config{N: n, Seed: seed, Strategy: strategy, CheckInvariants: true}
+
+	balls, err := NewBalls(cfg, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sim.New(sim.Config{Adversary: fac.make()}, Processes(balls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, check := range []bool{true, false} {
+		cfg.CheckInvariants = check
+		cfg.Adversary = fac.make()
+		got := runCohortT(t, cfg, labels)
+		where := fmt.Sprintf("CheckInvariants=%v", check)
+
+		if got.Rounds != want.Rounds {
+			t.Errorf("%s: rounds: cohort %d, sim %d", where, got.Rounds, want.Rounds)
+		}
+		if got.Crashes != len(want.Crashed) {
+			t.Errorf("%s: crashes: cohort %d, sim %d", where, got.Crashes, len(want.Crashed))
+		}
+		if got.CrashedDecided != want.CrashedDecided {
+			t.Errorf("%s: crashed-decided: cohort %d, sim %d", where, got.CrashedDecided, want.CrashedDecided)
+		}
+		if len(got.Decisions) != len(want.Decisions) {
+			t.Fatalf("%s: decisions: cohort %d, sim %d", where, len(got.Decisions), len(want.Decisions))
+		}
+		for i := range got.Decisions {
+			if got.Decisions[i] != want.Decisions[i] {
+				t.Errorf("%s: decision %d: cohort %+v, sim %+v", where, i, got.Decisions[i], want.Decisions[i])
+			}
+		}
+		if got.Messages != want.Messages {
+			t.Errorf("%s: messages: cohort %d, sim %d", where, got.Messages, want.Messages)
+		}
+		if got.Bytes != want.Bytes {
+			t.Errorf("%s: bytes: cohort %d, sim %d", where, got.Bytes, want.Bytes)
+		}
+		if err := proto.Validate(got.Decisions, n); err != nil {
+			t.Errorf("%s: %v", where, err)
 		}
 	}
 }

@@ -14,11 +14,17 @@ import (
 // processed after it, exactly as the paper's crash analysis (§5.3) relies
 // on.
 //
+// order is the snapshot to walk. Ball passes the view's full
+// orderedPresent; the cohort passes one order shared by every group view
+// of a round, which may list balls absent from v (they carry no path, and
+// removing an absent ball is a no-op) and may end early (a ball's walk
+// depends only on the balls before it, so a prefix fixes the positions of
+// every ball in it).
+//
 // has[idx] marks the balls whose path was received; paths[idx] holds the
 // path. Both are indexed by dense ball index and must cover the view's
 // universe.
-func applyPaths(cfg Config, v *View, has []bool, paths []Path) {
-	order := v.orderedPresent(cfg.LabelPriority)
+func applyPaths(cfg Config, v *View, order []int32, has []bool, paths []Path) {
 	for _, idx := range order {
 		if !has[idx] {
 			v.Remove(int(idx))

@@ -100,7 +100,7 @@ func TestApplyPathsPriorityOrder(t *testing.T) {
 	paths[0] = Path{Start: topo.Root(), Leaf: 0}
 	paths[1] = Path{Start: topo.Root(), Leaf: 0}
 	paths[2] = Path{Start: leaf0parent, Leaf: 0}
-	applyPaths(cfg, v, has, paths)
+	applyPaths(cfg, v, v.orderedPresent(cfg.LabelPriority), has, paths)
 	// Ball 2 moved first (deeper): takes leaf 0. Ball 0 next: subtree
 	// {0,1} has capacity 1 left -> enters, leaf 0 full -> parks at parent
 	// ... but wait: it walks towards leaf 0 and stops at the parent. Then
@@ -129,7 +129,7 @@ func TestApplyPathsRemovesSilent(t *testing.T) {
 	has[0], has[2] = true, true
 	paths[0] = Path{Start: topo.Root(), Leaf: 1}
 	paths[2] = Path{Start: topo.Root(), Leaf: 1}
-	applyPaths(cfg, v, has, paths)
+	applyPaths(cfg, v, v.orderedPresent(cfg.LabelPriority), has, paths)
 	if v.Present(1) {
 		t.Fatal("silent ball not removed")
 	}
@@ -153,7 +153,7 @@ func TestApplyPathsCrashFreesCapacityInOrder(t *testing.T) {
 	has[0], has[1] = true, true
 	paths[0] = Path{Start: topo.Root(), Leaf: 0}
 	paths[1] = Path{Start: topo.Root(), Leaf: 0}
-	applyPaths(cfg, v, has, paths)
+	applyPaths(cfg, v, v.orderedPresent(cfg.LabelPriority), has, paths)
 	// Ball 0 wins leaf 0; ball 1 walks: leaf 0 full -> stays at root?
 	// No: it never leaves the root because the only step towards leaf 0
 	// is full. Ball 2's removal freed one unit at the root level, so the

@@ -103,6 +103,24 @@ func (v *View) IndexOf(id proto.ID) (int, bool) {
 	return 0, false
 }
 
+// indexFrom is IndexOf for a stream of lookups in ascending label order,
+// the order in which every engine delivers a round's senders: it walks
+// *cursor forward over the label table, so a whole round of lookups costs
+// O(n) rather than O(n log n). A label below the cursor (out-of-order
+// delivery, which Protocol.Deliver permits) falls back to IndexOf.
+func (v *View) indexFrom(id proto.ID, cursor *int) (int, bool) {
+	i := *cursor
+	for i < len(v.labels) && v.labels[i] < id {
+		i++
+	}
+	*cursor = i
+	if i < len(v.labels) && v.labels[i] == id {
+		*cursor = i + 1
+		return i, true
+	}
+	return v.IndexOf(id)
+}
+
 // Present reports whether the ball at idx is in the view.
 func (v *View) Present(idx int) bool { return v.present[idx] }
 

@@ -50,7 +50,9 @@ type Process interface {
 
 	// Deliver hands the process every message that reached it in the given
 	// round, in ascending order of sender ID. The slice is owned by the
-	// engine; implementations must not retain it across calls.
+	// engine and may be shared with the round's other recipients:
+	// implementations must not modify it or its payloads, nor retain it
+	// across calls.
 	Deliver(round int, msgs []Message)
 
 	// Decided reports the process's decided name (1-based rank in the

@@ -214,6 +214,10 @@ func (f *fabric) step(round int, payloads [][]byte) (deliveries [][]proto.Messag
 		}
 	}
 	deliveries = make([][]proto.Message, len(f.members))
+	if len(delivered) == 0 {
+		f.deliverShared(deliveries, senders)
+		return deliveries, f.crashed[preCrashed:]
+	}
 	for i, st := range f.status {
 		if st != memberLive {
 			continue
@@ -238,6 +242,29 @@ func (f *fabric) step(round int, payloads [][]byte) (deliveries [][]proto.Messag
 		deliveries[i] = msgs
 	}
 	return deliveries, f.crashed[preCrashed:]
+}
+
+// deliverShared fills deliveries for a round without a mid-broadcast
+// victim. Every live member then hears the same list, every payload of
+// a sender that did not crash, so the list is built once and shared
+// (Round.Msgs is read-only). A live member always broadcast, so its own
+// payload is in the list and is not counted as a delivery.
+func (f *fabric) deliverShared(deliveries [][]proto.Message, senders int) {
+	shared := make([]proto.Message, 0, senders)
+	var total int64
+	for j, payload := range f.payloads {
+		if payload != nil && f.status[j] != memberCrashed {
+			shared = append(shared, proto.Message{From: f.members[j], Payload: payload})
+			total += int64(len(payload))
+		}
+	}
+	for i, st := range f.status {
+		if st == memberLive {
+			deliveries[i] = shared
+			f.messages += int64(len(shared) - 1)
+			f.bytes += total - int64(len(f.payloads[i]))
+		}
+	}
 }
 
 // summary assembles the run's outcome; Rounds is the last round stepped.

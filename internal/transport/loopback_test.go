@@ -226,3 +226,76 @@ func TestLoopbackCrashedEndpointFallsSilent(t *testing.T) {
 		t.Fatalf("crashed = %v", sum.Crashed)
 	}
 }
+
+// TestLoopbackSharesFailureFreeDeliveries pins how the hub hands out a
+// round's deliveries: in a round without a mid-broadcast crash every live
+// member's Msgs is the same slice (Round.Msgs is read-only), and in a
+// round with one each member gets a list of its own.
+func TestLoopbackSharesFailureFreeDeliveries(t *testing.T) {
+	t.Parallel()
+	labels := []proto.ID{10, 20, 30, 40, 50}
+	const rounds = 3
+	const crashRound = 2
+	lb, err := transport.NewLoopback(labels, transport.NetConfig{
+		Adversary: &adversary.Scripted{Round: crashRound, Victim: 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// first[i][r-1] is the address of member i's first delivered message in
+	// round r, the identity of the slice's backing array.
+	first := make([][rounds]*proto.Message, len(labels))
+	var wg sync.WaitGroup
+	for i, id := range labels {
+		ep, err := lb.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 1; r <= rounds; r++ {
+				if err := ep.Broadcast(r, []byte{byte(r), byte(i)}); err != nil {
+					if !errors.Is(err, transport.ErrCrashed) {
+						t.Errorf("%v: %v", id, err)
+					}
+					return
+				}
+				rd, err := ep.Collect(r)
+				if err != nil {
+					if !errors.Is(err, transport.ErrCrashed) {
+						t.Errorf("%v: %v", id, err)
+					}
+					return
+				}
+				if len(rd.Msgs) == 0 {
+					t.Errorf("%v: round %d: no messages", id, r)
+					return
+				}
+				first[i][r-1] = &rd.Msgs[0]
+			}
+			ep.Halt(transport.Halt{Round: rounds})
+		}()
+	}
+	wg.Wait()
+	for r := 1; r <= rounds; r++ {
+		seen := make(map[*proto.Message]bool)
+		for i, id := range labels {
+			p := first[i][r-1]
+			if p == nil {
+				if id != 20 || r < crashRound {
+					t.Fatalf("round %d: %v delivered nothing", r, id)
+				}
+				continue
+			}
+			seen[p] = true
+		}
+		if r == crashRound && len(seen) != len(labels)-1 {
+			t.Errorf("crash round %d: %d distinct delivery lists among %d survivors, want one each",
+				r, len(seen), len(labels)-1)
+		}
+		if r != crashRound && len(seen) != 1 {
+			t.Errorf("failure-free round %d: %d distinct delivery lists, want one shared list", r, len(seen))
+		}
+	}
+}

@@ -52,9 +52,11 @@ var ErrCrashed = errors.New("transport: local process crashed")
 // Round is everything one process receives in one lock-step round.
 type Round struct {
 	// Msgs are the payloads delivered to this process, in ascending sender
-	// ID order, the process's own broadcast included. Payload slices are
-	// only valid until the next Collect call; recipients that retain them
-	// must copy.
+	// ID order, the process's own broadcast included. The slice and its
+	// payloads are read-only and may be shared among the round's
+	// recipients (in a round without a mid-broadcast crash every recipient
+	// gets the same slice). They are only valid until the next Collect
+	// call; recipients that retain them must copy.
 	Msgs []proto.Message
 	// Crashed lists the processes newly observed to have crashed in this
 	// round, in crash order. The protocol itself infers crashes from
